@@ -280,6 +280,21 @@ def cmd_metrics(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _bit_width(text: str) -> int:
+    value = int(text)
+    if not 2 <= value <= 32:
+        raise argparse.ArgumentTypeError(f"bit width must be in [2, 32], "
+                                         f"got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="comet",
@@ -300,20 +315,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--scheme", default="A", choices=("A", "B"))
     p.add_argument("--arch", default="hybrid", choices=KINDS + ("naive",))
-    p.add_argument("--k", type=int, default=8)
-    p.add_argument("--b1", type=int, default=8)
-    p.add_argument("--b2", type=int, default=8)
+    p.add_argument("--k", type=_positive_int, default=8)
+    p.add_argument("--b1", type=_bit_width, default=8)
+    p.add_argument("--b2", type=_bit_width, default=8)
     p.add_argument("--inject-fault", action="store_true",
                    help=argparse.SUPPRESS)  # harness self-test only
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("infer", help="modified LeNet-5 inference + verdict")
-    p.add_argument("--b1", type=int, default=8)
-    p.add_argument("--b2", type=int, default=8)
+    p.add_argument("--b1", type=_bit_width, default=8)
+    p.add_argument("--b2", type=_bit_width, default=8)
     p.add_argument("--scheme", default="A", choices=("A", "B"))
     p.add_argument("--arch", default="hybrid", choices=KINDS + ("naive",))
-    p.add_argument("--k-hw", type=int, default=16)
-    p.add_argument("--l", dest="lanes", type=int, default=10)
+    p.add_argument("--k-hw", type=_positive_int, default=16)
+    p.add_argument("--l", dest="lanes", type=_positive_int, default=10)
     p.add_argument("--weights", help="weight bundle directory")
     p.add_argument("--gen-weights", type=int, default=42,
                    help="seed for generated weights")
@@ -327,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("addrgen", help="address-generator event stream")
     p.add_argument("--preset", required=True,
                    help="layer preset, e.g. lenet5m:conv1")
-    p.add_argument("--k-hw", type=int, default=16)
+    p.add_argument("--k-hw", type=_positive_int, default=16)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dump", help="CSV output path")
     p.set_defaults(func=cmd_addrgen)

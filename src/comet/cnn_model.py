@@ -66,9 +66,6 @@ class ModelSpec:
         return out
 
 
-GAP_DIVISOR = 25  # 5x5 spatial extent entering the pooling stage
-
-
 def _conv_shift(patch_len: int, b2: int) -> int:
     # tracks typical accumulator growth (weight magnitude times sqrt of
     # the fan-in) so activations stay lively instead of collapsing to zero

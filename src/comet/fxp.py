@@ -11,12 +11,6 @@ which downstream code exploits to keep every intermediate an exact integer.
 """
 
 from dataclasses import dataclass
-from enum import Enum
-
-
-class Role(Enum):
-    INPUT = "input"
-    WEIGHT = "weight"
 
 
 @dataclass(frozen=True)
@@ -24,7 +18,6 @@ class FxpFormat:
     """A signed fixed-point word of `bits` width (2..32)."""
 
     bits: int
-    role: Role = Role.INPUT
 
     def __post_init__(self):
         if not 2 <= self.bits <= 32:

@@ -6,23 +6,28 @@ bit-exactly.  Two engines share that contract:
 
 * a scalar reference engine built on :func:`comet.obc_ipc.ipc_obc`, which
   produces per-slice traces, and
-* a vectorized engine that evaluates each LUT technique's dataflow with
-  numpy across whole rows/columns; it is the default because full-model
-  inference would otherwise be impractically slow.
+* a vectorized engine that builds each tile's stored field tables (the
+  layout `comet.lut_arch.field_layout` gives per technique) with numpy
+  and reads them for every bit-slice of every serial operand at once.
+  One kernel serves both schemes: Scheme B is Scheme A with the
+  coefficient and serial operands swapped and the result transposed.
+  It is the default because full-model inference would otherwise be
+  impractically slow.
 
 Both are cross-checked in the test suite; `record=True` selects the
 scalar engine.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .fxp import FxpFormat
 from .im2col_addr import LayerConfigWord
-from .lut_arch import HYBRID, KINDS, PARALLEL, SHARED, SPLIT
-from .obc_ipc import IpcProblem, Scheme, ipc_obc
+from .lut_arch import HYBRID, KINDS, PARALLEL, field_entries, field_layout, \
+    mirror_read, padded_layout
+from .obc_ipc import IpcProblem, Scheme, ipc_obc, piso_schedule  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -35,7 +40,6 @@ class GemmConfig:
     arch: str | None = HYBRID   # None = naive dense table
     b1: int = 8
     b2: int = 8
-    f_clk: float | None = None
 
     def __post_init__(self):
         if self.k_hw < 1 or self.l < 1:
@@ -46,13 +50,6 @@ class GemmConfig:
     @property
     def serial_bits(self) -> int:
         return self.b1 if self.scheme is Scheme.A else self.b2
-
-
-# preset engine shapes matching the reported K*L = 16 throughput rows
-PRESETS = {
-    "k16l1": dict(k_hw=16, l=1),
-    "k4l4": dict(k_hw=4, l=4),
-}
 
 
 @dataclass(frozen=True)
@@ -81,34 +78,10 @@ def im2col(x: np.ndarray, cfg: LayerConfigWord) -> np.ndarray:
         raise ValueError(f"input shape {x.shape} != {(cfg.c, cfg.h, cfg.w)}")
     if cfg.p:
         x = np.pad(x, ((0, 0), (0, cfg.p), (0, cfg.p)))
-    cols = np.empty((cfg.patch_len, cfg.h_out * cfg.w_out), dtype=np.int64)
-    m = 0
-    for oh in range(cfg.h_out):
-        for ow in range(cfg.w_out):
-            hh, ww = oh * cfg.s, ow * cfg.s
-            cols[:, m] = x[:, hh:hh + cfg.kh, ww:ww + cfg.kw].reshape(-1)
-            m += 1
-    return cols
-
-
-def piso_schedule(operands, b: int) -> list[int]:
-    """Transpose operand words into per-slice LUT addresses, LSB slice first.
-
-    Address bit order puts operand 0 at the most significant position.
-    """
-    ops = [int(v) for v in operands]
-    lo, hi = -(1 << (b - 1)), (1 << (b - 1)) - 1
-    for v in ops:
-        if not lo <= v <= hi:
-            raise ValueError(f"operand {v} does not fit {b} bits")
-    addrs = []
-    for r in range(b - 1, -1, -1):
-        shift = b - 1 - r
-        addr = 0
-        for v in ops:
-            addr = (addr << 1) | ((v >> shift) & 1)
-        addrs.append(addr)
-    return addrs
+    win = sliding_window_view(x, (cfg.kh, cfg.kw), axis=(1, 2))
+    win = win[:, ::cfg.s, ::cfg.s][:, :cfg.h_out, :cfg.w_out]  # (C,Ho,Wo,kh,kw)
+    return win.transpose(0, 3, 4, 1, 2).reshape(cfg.patch_len, -1) \
+        .astype(np.int64)
 
 
 def gemm_oracle(theta: np.ndarray, xcols: np.ndarray,
@@ -132,48 +105,6 @@ def _pad_cols(a: np.ndarray, rows: int) -> np.ndarray:
     return np.pad(a, ((0, rows - a.shape[0]),) + ((0, 0),) * (a.ndim - 1))
 
 
-def _vec_lut_value(kind: str | None, c2: np.ndarray, bits2: np.ndarray,
-                   q: int) -> np.ndarray:
-    """Evaluate one LUT technique's dataflow with broadcasting.
-
-    `c2` holds coefficients and `bits2` address bits; axis 0 of both is
-    the (zero-padded) k' = p*q coefficient axis, and any trailing axes
-    broadcast against each other in the result.
-    """
-    sgn = 2 * bits2 - 1
-    if kind in (None, "naive", PARALLEL):
-        # chain adders reduce to the signed sum within each group
-        return (c2 * sgn).sum(axis=0)
-    p = c2.shape[0] // q
-    if kind == HYBRID:
-        s = c2[0::2] + c2[1::2]
-        d = c2[0::2] - c2[1::2]
-        ba, bb = bits2[0::2], bits2[1::2]
-        node = np.where((ba ^ bb) == 1, d, s)
-        return np.where(ba == 1, node, -node).sum(axis=0)
-    cg = c2.reshape((p, q) + c2.shape[1:])
-    bg = bits2.reshape((p, q) + bits2.shape[1:])
-    if kind == SHARED:
-        head = cg[:, 0] * (2 * bg[:, 0] - 1)
-        flip = bg[:, 1]
-        canon = bg[:, 1:] ^ bg[:, 1:2]
-        node = ((2 * canon - 1) * cg[:, 1:]).sum(axis=1)
-        return (head + (1 - 2 * flip) * node).sum(axis=0)
-    if kind == SPLIT:
-        h = q // 2
-        ch = cg.reshape((p, 2, h) + c2.shape[1:])
-        bh = bg.reshape((p, 2, h) + bits2.shape[1:])
-        flip = bh[:, :, 0]
-        canon = bh ^ bh[:, :, 0:1]
-        node = ((2 * canon - 1) * ch).sum(axis=2)
-        return ((1 - 2 * flip) * node).sum(axis=(0, 1))
-    raise ValueError(f"unknown LUT technique {kind!r}")
-
-
-def _group_size(k: int) -> int:
-    return 4 if k >= 4 else 2
-
-
 def gemm_obc(theta: np.ndarray, xcols: np.ndarray, bias: np.ndarray,
              cfg: GemmConfig, record: bool = False):
     """OBC GEMM: Y[n, m] = sum_k theta[n, k] * xcols[k, m] + bias[n].
@@ -182,6 +113,12 @@ def gemm_obc(theta: np.ndarray, xcols: np.ndarray, bias: np.ndarray,
     shift-accumulate pass with its own offset initialization, and the
     doubled bias joins the last tile's offset only.  Returns
     (Y, cycles, traces); traces is None unless `record` is set.
+
+    Both engines accumulate in int64 in the doubled domain, where every
+    partial sum is bounded by patch_len * 2^(B1 + B2 - 1) + 2^B2 (each
+    tile's offset and slices add at most 2^B_serial * sum|coefficients|,
+    plus the doubled bias).  A call whose bound reaches 2^63 raises
+    ValueError; every B1 <= 16, B2 = 8 LeNet layer is far inside it.
     """
     theta = np.asarray(theta, dtype=np.int64)
     xcols = np.asarray(xcols, dtype=np.int64)
@@ -199,6 +136,9 @@ def gemm_obc(theta: np.ndarray, xcols: np.ndarray, bias: np.ndarray,
     if xcols.size and not (xcols.min() >= fmt_in.min_value
                            and xcols.max() <= fmt_in.max_value):
         raise ValueError(f"inputs exceed the {cfg.b1}-bit format")
+    if (patch_len << (cfg.b1 + cfg.b2 - 1)) + (1 << cfg.b2) >= 1 << 63:
+        raise ValueError(f"a {patch_len}-long patch at B1={cfg.b1}, "
+                         f"B2={cfg.b2} can overflow the int64 accumulator")
 
     plan = TilePlan.for_patch(patch_len, cfg.k_hw)
     cycles = gemm_cycles(n_out, m_out, patch_len, cfg)
@@ -235,59 +175,68 @@ def _gemm_scalar(theta, xcols, bias, cfg, plan, fmt_in, fmt_wt):
 
 
 def _gemm_vectorized(theta, xcols, bias, cfg, plan):
-    """Vectorized engine: same tile/slice dataflow, numpy across M (or N)."""
-    n_out, m_out = theta.shape[0], xcols.shape[1]
+    """Vectorized engine: one table kernel for both schemes."""
     k = plan.k_hw
-    rows = plan.tiles * k
-    tpad = _pad_cols(theta.T, rows).T   # (N, rows)
-    xpad = _pad_cols(xcols, rows)       # (rows, M)
-    q = _group_size(k)
-    kq = -(-k // q) * q
-    arch = cfg.arch
-    b = cfg.serial_bits
-    shifts = np.arange(b, dtype=np.int64)  # LSB slice first
-    y2 = np.zeros((n_out, m_out), dtype=np.int64)      # doubled domain
+    kq, q = padded_layout(k)
+    # naive stays on the parallel layout: a dense 2^k_hw table per column
+    # would not fit in memory for Scheme B
+    kind = PARALLEL if cfg.arch in (None, "naive") else cfg.arch
+    fields = field_layout(kind, kq, q)
 
+    def tiled(rows):   # (R, patch_len) -> (R, tiles, kq), zero-padded
+        rows = np.pad(rows, ((0, 0), (0, plan.tail_pad)))
+        return np.pad(rows.reshape(len(rows), plan.tiles, k),
+                      ((0, 0), (0, 0), (0, kq - k)))
+
+    w_rows, x_rows = tiled(theta), tiled(xcols.T)
     if cfg.scheme is Scheme.A:
-        # serial side: inputs; LUT side: one weight tile per (n, t);
-        # all N rows evaluate together against the shared bit slices
-        for t in range(plan.tiles):
-            xt = xpad[t * k:(t + 1) * k]                       # (k, M)
-            bits = ((xt[None, :, :] >> shifts[:, None, None]) & 1)  # (b,k,M)
-            bits = np.ascontiguousarray(bits)
-            last = t == plan.tiles - 1
-            c = np.zeros((kq, n_out, 1), dtype=np.int64)
-            c[:k, :, 0] = tpad[:, t * k:(t + 1) * k].T
-            init = -c.sum(axis=(0, 2))                         # (N,)
-            if last:
-                init = init + 2 * bias
-            acc = np.broadcast_to(init[:, None],
-                                  (n_out, m_out)).astype(np.int64).copy()
-            for j, r in enumerate(range(b - 1, -1, -1)):
-                bslice = np.zeros((kq, 1, m_out), dtype=np.int64)
-                bslice[:k, 0] = bits[j]
-                out = _vec_lut_value(arch, c, bslice, q)       # (N, M)
-                shift = b - 1 - r
-                acc += (-out if r == 0 else out) << shift
-            y2 += acc
+        y2 = _obc_kernel(w_rows, x_rows, cfg.b1, fields)
     else:
-        # serial side: weights; LUT side: one input tile per (m, t); each
-        # weight slice's address row broadcasts against all M tile columns
-        for t in range(plan.tiles):
-            c = np.zeros((kq, 1, m_out), dtype=np.int64)
-            c[:k, 0] = xpad[t * k:(t + 1) * k]
-            csum = c.sum(axis=(0, 1))                          # (M,)
-            last = t == plan.tiles - 1
-            wt = tpad[:, t * k:(t + 1) * k]                    # (N, k)
-            bits = ((wt[None, :, :] >> shifts[:, None, None]) & 1)  # (b,N,k)
-            init = -csum[None, :] + (2 * bias[:, None] if last else 0)
-            acc = np.broadcast_to(init, (n_out, m_out)).astype(np.int64).copy()
-            for j, r in enumerate(range(b - 1, -1, -1)):
-                bslice = np.zeros((kq, n_out, 1), dtype=np.int64)
-                bslice[:k] = bits[j].T[:, :, None]
-                out = _vec_lut_value(arch, c, bslice, q)       # (N, M)
-                shift = b - 1 - r
-                acc += (-out if r == 0 else out) << shift
-            y2 += acc
+        y2 = _obc_kernel(x_rows, w_rows, cfg.b2, fields).T
+    y2 = y2 + 2 * bias[:, None]
     assert not np.any(y2 & 1), "doubled-domain result must be even"
     return y2 >> 1
+
+
+def _obc_kernel(coef, serial, b, fields):
+    """Doubled products 2 * sum(coef[p] * serial[q]) over all tiles: (P, Q).
+
+    `coef` (P, tiles, kq) fills one set of stored field tables per row and
+    tile; `serial` (Q, tiles, kq) is bit-sliced LSB first over `b` cycles,
+    the sign slice accumulated negated.  The field addresses of every
+    slice are formed at once.  Each read adds its slice weight to a count
+    per (serial row, stored entry), negated reads to a second block that
+    is subtracted, and one product with the tables sums them.
+    """
+    n_coef, tiles, kq = coef.shape
+    n_serial = serial.shape[0]
+    cols = list(np.moveaxis(coef, -1, 0))
+    tables = np.concatenate(
+        [np.stack(field_entries(cols[s:s + w], m), axis=-1)
+         for s, w, m in fields], axis=-1).reshape(n_coef, -1)
+    n_stored = tables.shape[1]          # tiles * stored entries per tile
+    start, width, mirrored = (np.array(v) for v in zip(*fields))
+    # field values per (serial row, tile, field, slice), kept as bytes:
+    # operands fit 32 bits and fields here are at most 4 bits wide
+    bits = np.unpackbits(serial.astype("<u4")[..., None].view(np.uint8),
+                         axis=-1, bitorder="little")[..., :b]
+    place = np.repeat(start + width - 1, width) - np.arange(kq)
+    bits <<= place.astype(np.uint8)[:, None]
+    f = np.add.reduceat(bits, start, axis=2, dtype=np.uint8)
+    index, sign = mirror_read(f, width.astype(np.int8)[:, None],
+                              mirrored.astype(np.int8)[:, None])
+    # flat index into `reads` (serial row, +/- block, tile, entry);
+    # int32 suffices, as `reads` itself must fit in memory
+    size = np.array([1 << (w - m) for _, w, m in fields])
+    index = index.astype(np.int32)
+    index += ((np.cumsum(size) - size)[:, None]
+              + np.arange(0, n_stored, n_stored // tiles)[:, None, None]
+              + np.arange(n_serial)[:, None, None, None] * (2 * n_stored)
+              ).astype(np.int32) + (sign < 0) * np.int32(n_stored)
+    reads = np.zeros(n_serial * 2 * n_stored, dtype=np.int64)
+    for shift in range(b):
+        weight = -(1 << shift) if shift == b - 1 else 1 << shift
+        np.add.at(reads, index[..., shift].ravel(), weight)
+    reads = reads.reshape(n_serial, 2, n_stored)
+    reads = reads[:, 0] - reads[:, 1]
+    return -coef.sum(axis=(1, 2))[:, None] + tables @ reads.T

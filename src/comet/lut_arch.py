@@ -5,11 +5,13 @@ address, the same value a naive 2**K offset-binary table would hold:
 
     value(addr) = sum_i coeff_i * (2*b_i - 1)
 
-with b_1 the most-significant address bit.  What differs is the internal
-structure: which partial sums exist as real nodes and get shared.  The
-emulation computes those nodes explicitly so structural claims (node
-sharing, half sums, pair nodes) are testable, and a closed-form cost
-model reports adder/mux counts and critical-path delay per technique.
+with b_1 the most-significant address bit.  What differs is what each
+technique stores: `field_layout` cuts the address into fields, each with
+a stored sub-table that may keep only its mirror half.  `PreparedLut`
+and the vectorized GEMM engine both read those tables, and the trace
+names the nodes each read touches, so structural claims (node sharing,
+half sums, pair nodes) are testable.  A closed-form cost model reports
+adder/mux counts and critical-path delay per technique.
 
 Coefficient vectors whose length is not a multiple of the group size are
 zero-padded at the tail; a zero coefficient with a zero address bit
@@ -78,7 +80,7 @@ class StructTrace:
         return sorted(self.nodes)
 
 
-def _padded_layout(k: int, q: int | None) -> tuple[int, int]:
+def padded_layout(k: int, q: int | None = None) -> tuple[int, int]:
     """Pick (padded length, group size) for a coefficient vector of length k."""
     if q is not None:
         if q < 1 or k % q != 0:
@@ -89,175 +91,141 @@ def _padded_layout(k: int, q: int | None) -> tuple[int, int]:
     return -(-k // 2) * 2, 2
 
 
+def field_layout(kind: str, padded: int, q: int) -> list[tuple[int, int, bool]]:
+    """What a technique stores: its fields over the padded address.
+
+    Each field is (start, width, mirrored), `start` counted from the
+    address MSB.  A field's table holds the offset-binary sum of its
+    coefficients for every field value; a mirrored field keeps only the
+    half whose field MSB is 0 and reads the other half as the negated
+    entry at the complemented value.
+    """
+    if kind not in KINDS:
+        raise ValueError(f"unknown LUT kind {kind!r}")
+    if kind in (SPLIT, HYBRID) and q % 2 != 0:
+        raise FactorizationError(f"{kind} LUT needs even q, got q={q}")
+    starts = range(0, padded, q)
+    if kind == PARALLEL:
+        return [(s, q, False) for s in starts]
+    if kind == SHARED:
+        # 1-bit head, then the mirror half over bits 2..q (muxed on b_2)
+        return [f for s in starts
+                for f in ((s, 1, False), (s + 1, q - 1, True)) if f[1]]
+    if kind == SPLIT:
+        h = q // 2
+        return [(s + d, h, True) for s in starts for d in (0, h)]
+    # hybrid: one {-sum, -diff} pair per two bits; the mirror gives +diff, +sum
+    return [(s, 2, True) for s in range(0, padded, 2)]
+
+
+def field_entries(coeffs, mirrored: bool) -> list:
+    """Stored entries of one field, indexed by field value (MSB first).
+
+    Works on anything that adds and negates elementwise, so numpy columns
+    give a whole batch of tables at once.
+    """
+    entries = [0]
+    for c in reversed(coeffs[1:]):
+        entries = [e - c for e in entries] + [e + c for e in entries]
+    low = [e - coeffs[0] for e in entries]
+    return low if mirrored else low + [e + coeffs[0] for e in entries]
+
+
+def mirror_read(f, width, mirrored):
+    """Where field value `f` reads its table: (stored index, sign).
+
+    A mirrored field whose value has its MSB set reads the entry at the
+    complemented value, negated.  Works elementwise on numpy arrays.
+    """
+    upper = (f >> (width - 1)) & mirrored
+    return f ^ upper * ((1 << width) - 1), 1 - 2 * upper
+
+
 class PreparedLut:
     """A LUT technique bound to one coefficient vector, evaluable per address.
 
-    Precomputes the shared structure (group slices, hybrid pair nodes) so
-    repeated evaluation inside shift-accumulate loops stays cheap.
+    Builds every stored field table once; a lookup reads one entry per
+    field and sums them.
     """
 
     def __init__(self, kind: str, coeffs: list[int], q: int | None = None):
-        if kind not in KINDS:
-            raise ValueError(f"unknown LUT kind {kind!r}")
         self.kind = kind
         self.k = len(coeffs)
         if self.k < 1:
             raise ValueError("need at least one coefficient")
-        kk, qq = _padded_layout(self.k, q)
-        if kind in (SPLIT, HYBRID) and qq % 2 != 0:
-            raise FactorizationError(f"{kind} LUT needs even q, got q={qq}")
-        self.q = qq
+        kk, self.q = padded_layout(self.k, q)
+        fields = field_layout(kind, kk, self.q)
+        self.p = kk // self.q
         self.padded = list(coeffs) + [0] * (kk - self.k)
-        self.p = kk // qq
-        self.groups = [self.padded[g * qq:(g + 1) * qq] for g in range(self.p)]
-        if kind == HYBRID:
-            # pair nodes theta_j + theta_{j+1} / theta_j - theta_{j+1},
-            # shared across addresses (independent of select lines)
-            self.pair_sum = [
-                self.padded[j] + self.padded[j + 1] for j in range(0, kk, 2)
-            ]
-            self.pair_diff = [
-                self.padded[j] - self.padded[j + 1] for j in range(0, kk, 2)
-            ]
-        self._eval = getattr(self, f"_eval_{kind}")
+        self.tables = [field_entries(self.padded[s:s + w], m)
+                       for s, w, m in fields]
+        self._pad = kk - self.k
+        # per field: (shift to its LSB, value mask, width, mirrored, table)
+        self._reads = [(kk - s - w, (1 << w) - 1, w, int(m), t)
+                       for (s, w, m), t in zip(fields, self.tables)]
 
-    def _bits(self, address: int) -> list[int]:
+    def _address(self, address: int) -> int:
         if not 0 <= address < (1 << self.k):
             raise ValueError(f"address {address} outside [0, 2^{self.k})")
-        k = self.k
-        bits = [(address >> (k - 1 - i)) & 1 for i in range(k)]
-        bits.extend([0] * (len(self.padded) - k))
-        return bits
-
-    def eval(self, address: int, record: bool = False):
-        return self._eval(self._bits(address), record)
+        return address << self._pad
 
     def value(self, address: int) -> int:
-        return self._eval(self._bits(address), False)[0]
-
-    # -- parallel: chain adders per group, plus the derive-from-address-0 path
-
-    def _eval_parallel(self, bits, record):
-        trace = StructTrace() if record else None
+        a = self._address(address)
         total = 0
-        for g, (th, bs) in enumerate(zip(self.groups, self._group_bits(bits))):
-            acc = 0
-            for j in range(self.q - 1, -1, -1):
-                acc += th[j] if bs[j] else -th[j]
-                if record:
-                    trace.nodes[f"g{g}.chain{j}"] = acc
-            total += acc
-            if record:
-                # alternate path: address-0 content plus 2*theta per set bit
-                base = -sum(th)
-                alt = base + 2 * sum(t for t, b in zip(th, bs) if b)
-                trace.nodes[f"g{g}.from_zero"] = alt
-                trace.nodes[f"g{g}.value"] = acc
-        if record:
-            trace.nodes["value"] = total
-        return total, trace
+        for shift, mask, w, m, table in self._reads:
+            i, sign = mirror_read((a >> shift) & mask, w, m)
+            total += sign * table[i]
+        return total
 
-    # -- shared: mirror-antisymmetric sub-table over bits 2..q, mux on b_2
+    def eval(self, address: int, record: bool = False):
+        """(value, StructTrace or None); the trace names each node read."""
+        if not record:
+            return self.value(address), None
+        a = self._address(address)
+        reads = []   # per field: (field value, stored index, signed entry)
+        for shift, mask, w, m, table in self._reads:
+            f = (a >> shift) & mask
+            i, sign = mirror_read(f, w, m)
+            reads.append((f, i, sign * table[i]))
+        nodes = {}
+        if self.kind == HYBRID:
+            for j, ((f, _, v), t) in enumerate(zip(reads, self.tables)):
+                nodes[f"pair{j}.sum"] = -t[0]
+                nodes[f"pair{j}.diff"] = -t[1]
+                nodes[f"pair{j}.sel"] = (f ^ f >> 1) & 1
+                nodes[f"pair{j}.value"] = v
+        else:
+            per = len(reads) // self.p
+            for g in range(self.p):
+                self._group_nodes(nodes, g, reads[g * per:(g + 1) * per],
+                                  self.tables[g * per:(g + 1) * per])
+        nodes["value"] = sum(v for _, _, v in reads)
+        return nodes["value"], StructTrace(nodes)
 
-    def _eval_shared(self, bits, record):
-        trace = StructTrace() if record else None
-        total = 0
-        for g, (th, bs) in enumerate(zip(self.groups, self._group_bits(bits))):
-            head = th[0] if bs[0] else -th[0]
-            sub = bs[1:]
-            if sub:
-                flip = sub[0] == 1
-                canon = [1 - b for b in sub] if flip else sub
-                node = 0
-                for j in range(len(canon) - 1, -1, -1):
-                    node += th[j + 1] if canon[j] else -th[j + 1]
-                val = head + (-node if flip else node)
-                if record:
-                    key = "".join(map(str, canon))
-                    trace.nodes[f"g{g}.sub{key}"] = node
-            else:
-                val = head
-            total += val
-            if record:
-                trace.nodes[f"g{g}.value"] = val
-        if record:
-            trace.nodes["value"] = total
-        return total, trace
-
-    # -- split: two q/2-wide halves with internal mirroring, one join adder
-
-    def _eval_split(self, bits, record):
-        trace = StructTrace() if record else None
-        total = 0
-        left_total = 0
-        right_total = 0
-        h = self.q // 2
-        for g, (th, bs) in enumerate(zip(self.groups, self._group_bits(bits))):
-            halves = []
-            for side, (sth, sbs) in enumerate(
-                ((th[:h], bs[:h]), (th[h:], bs[h:]))
-            ):
-                flip = sbs[0] == 1
-                canon = [1 - b for b in sbs] if flip else sbs
-                node = 0
-                for j in range(len(canon) - 1, -1, -1):
-                    node += sth[j] if canon[j] else -sth[j]
-                halves.append(-node if flip else node)
-                if record:
-                    key = "".join(map(str, canon))
-                    name = "left" if side == 0 else "right"
-                    trace.nodes[f"g{g}.{name}_sub{key}"] = node
-            val = halves[0] + halves[1]
-            total += val
-            left_total += halves[0]
-            right_total += halves[1]
-            if record:
-                trace.nodes[f"g{g}.left"] = halves[0]
-                trace.nodes[f"g{g}.right"] = halves[1]
-                trace.nodes[f"g{g}.value"] = val
-        if record:
-            trace.nodes["left"] = left_total
-            trace.nodes["right"] = right_total
-            trace.nodes["value"] = total
-        return total, trace
-
-    # -- hybrid: precomputed pair sum/diff nodes muxed by XOR/AND select logic
-
-    def _eval_hybrid(self, bits, record):
-        trace = StructTrace() if record else None
-        total = 0
-        for j, (s, d) in enumerate(zip(self.pair_sum, self.pair_diff)):
-            ba, bb = bits[2 * j], bits[2 * j + 1]
-            node = d if ba ^ bb else s
-            total += node if ba else -node
-            if record:
-                trace.nodes[f"pair{j}.sum"] = s
-                trace.nodes[f"pair{j}.diff"] = d
-                trace.nodes[f"pair{j}.sel"] = ba ^ bb
-                trace.nodes[f"pair{j}.value"] = node if ba else -node
-        if record:
-            trace.nodes["value"] = total
-        return total, trace
-
-    def _group_bits(self, bits):
+    def _group_nodes(self, nodes, g, reads, tables):
         q = self.q
-        return [bits[g * q:(g + 1) * q] for g in range(self.p)]
-
-
-def eval_parallel(coeffs, address, q=None):
-    return PreparedLut(PARALLEL, coeffs, q).eval(address, record=True)
-
-
-def eval_shared(coeffs, address, q=None):
-    return PreparedLut(SHARED, coeffs, q).eval(address, record=True)
-
-
-def eval_split(coeffs, address, q=None):
-    return PreparedLut(SPLIT, coeffs, q).eval(address, record=True)
-
-
-def eval_hybrid(coeffs, address, q=None):
-    return PreparedLut(HYBRID, coeffs, q).eval(address, record=True)
+        if self.kind == PARALLEL:
+            (f, _, _), = reads
+            t = tables[0]
+            for j in range(q - 1, -1, -1):
+                # flipping bits 0..j-1 negates their share, so the mean of
+                # the two reads is the chain sum over bits j..q-1
+                hi = ((1 << j) - 1) << (q - j)
+                nodes[f"g{g}.chain{j}"] = (t[f] + t[f ^ hi]) // 2
+            th = self.padded[g * q:(g + 1) * q]
+            nodes[f"g{g}.from_zero"] = t[0] + 2 * sum(
+                c for j, c in enumerate(th) if f >> (q - 1 - j) & 1)
+        elif self.kind == SHARED:
+            if len(reads) > 1:
+                _, i, _ = reads[1]
+                nodes[f"g{g}.sub{i:0{q - 1}b}"] = tables[1][i]
+        else:
+            h = q // 2
+            for name, (_, i, sv), t in zip(("left", "right"), reads, tables):
+                nodes[f"g{g}.{name}_sub{i:0{h}b}"] = t[i]
+                nodes[f"g{g}.{name}"] = sv
+                nodes[name] = nodes.get(name, 0) + sv
+        nodes[f"g{g}.value"] = sum(v for _, _, v in reads)
 
 
 def lut_cost(arch: LutArch) -> LutCost:

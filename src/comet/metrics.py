@@ -59,22 +59,6 @@ def aep(t_mac_ops: float, f_clk: float, ens_slices: float) -> float:
     return t_mac_ops / (f_clk * ens_slices / 1000)
 
 
-def metric_row(r: ResourceReport, k: int, l: int, b: int,
-               f_clk: float) -> dict:
-    """Full metric row for one design point; EPS only when power given."""
-    t = throughput_mac(k, l, b, f_clk)
-    e = ens_rounded(r)
-    row = {
-        "t_mac_gops": t / 1e9,
-        "ens": ens(r),
-        "ens_rounded": e,
-        "aep": aep(t, f_clk, e),
-    }
-    if r.power_w is not None:
-        row["eps"] = eps(r.power_w, t / 1e9)
-    return row
-
-
 # published columns for the six proposed designs; bitwidths are (B1, B2)
 # and serial width B follows the scheme (B1 for A/AB, B2 for B)
 REFERENCE_DESIGNS = {

@@ -131,6 +131,25 @@ def merged_offset(coeffs, bias: int) -> int:
     return -sum(coeffs) + 2 * bias
 
 
+def piso_schedule(operands, b: int) -> list[int]:
+    """Transpose operand words into per-slice LUT addresses, LSB slice first.
+
+    Address bit order puts operand 0 at the most significant position.
+    """
+    ops = [int(v) for v in operands]
+    lo, hi = -(1 << (b - 1)), (1 << (b - 1)) - 1
+    for v in ops:
+        if not lo <= v <= hi:
+            raise ValueError(f"operand {v} does not fit {b} bits")
+    addrs = []
+    for shift in range(b):
+        addr = 0
+        for v in ops:
+            addr = (addr << 1) | ((v >> shift) & 1)
+        addrs.append(addr)
+    return addrs
+
+
 def sa_run(lut, serial_operands, serial_bits: int, init: int,
            record: bool = True) -> tuple[int, SaTrace | None]:
     """Shift-accumulate over the bit-slices of the serial operands.
@@ -139,25 +158,14 @@ def sa_run(lut, serial_operands, serial_bits: int, init: int,
     accumulated negated.  `lut` is anything callable on an address.
     Returns the halved (true-domain) result plus an optional trace.
     """
-    ops = list(serial_operands)
-    k = len(ops)
     b = serial_bits
-    lo = -(1 << (b - 1))
-    hi = (1 << (b - 1)) - 1
-    for v in ops:
-        if not lo <= v <= hi:
-            raise ValueError(f"operand {v} does not fit {b} bits")
     acc = init
     steps = [] if record else None
-    for r in range(b - 1, -1, -1):
-        shift = b - 1 - r
-        addr = 0
-        for v in ops:
-            addr = (addr << 1) | ((v >> shift) & 1)
+    for shift, addr in enumerate(piso_schedule(serial_operands, b)):
         out = lut(addr)
-        acc += (-out if r == 0 else out) << shift
+        acc += (-out if shift == b - 1 else out) << shift
         if record:
-            steps.append(SaStep(r, addr, out, acc))
+            steps.append(SaStep(b - 1 - shift, addr, out, acc))
     assert acc % 2 == 0, "doubled-domain accumulator must be even"
     result = acc >> 1
     trace = SaTrace(steps, b) if record else None

@@ -82,6 +82,21 @@ def test_verify_detects_injected_fault(capsys):
     assert ce["got"] == ce["want"] + 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["addrgen", "--preset", "lenet5m:conv1", "--k-hw", "0"],
+    ["verify", "--k", "0"],
+    ["verify", "--b1", "40"],
+    ["infer", "--k-hw", "0"],
+    ["infer", "--l", "0"],
+    ["infer", "--b1", "40"],
+])
+def test_bad_numeric_arguments_exit_usage(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    assert "error" in capsys.readouterr().err
+
+
 def test_verify_rejects_zero_trials(capsys):
     code, _, err = run(capsys, "verify", "--trials", "0")
     assert code == EXIT_USAGE

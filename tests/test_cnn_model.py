@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from comet.cnn_model import (
-    GAP_DIVISOR,
     LayerSpec,
     ModelSpec,
     build_modified_lenet5,
@@ -40,7 +39,6 @@ def test_shape_chain():
     assert model.layers[5].in_features == 16
     assert model.layers[5].out_features == 32
     assert model.layers[6].out_features == 10
-    assert GAP_DIVISOR == 5 * 5
 
 
 def test_strided_convs_replace_pooling():

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from comet.fxp import FxpFormat, Role, bit_slice, from_bits, obc_delta, \
+from comet.fxp import FxpFormat, bit_slice, from_bits, obc_delta, \
     quantize_saturate
 
 
@@ -19,12 +19,6 @@ def test_format_range():
 def test_format_rejects_bad_width(bits):
     with pytest.raises(ValueError):
         FxpFormat(bits)
-
-
-def test_format_role_is_metadata_only():
-    a = FxpFormat(8, Role.INPUT)
-    b = FxpFormat(8, Role.WEIGHT)
-    assert a.min_value == b.min_value and a.max_value == b.max_value
 
 
 def test_quantize_saturate_clamps():

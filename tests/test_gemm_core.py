@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from comet.gemm_core import (
-    PRESETS,
     GemmConfig,
     TilePlan,
     gemm_cycles,
@@ -104,11 +103,6 @@ def test_tile_plan():
     assert plan.tiles == 2 and plan.tail_pad == 7
     plan = TilePlan.for_patch(32, 16)
     assert plan.tiles == 2 and plan.tail_pad == 0
-
-
-def test_presets():
-    assert PRESETS["k16l1"] == {"k_hw": 16, "l": 1}
-    assert PRESETS["k4l4"] == {"k_hw": 4, "l": 4}
 
 
 # -- cycle law ------------------------------------------------------------
@@ -226,3 +220,33 @@ def test_gemm_oracle_property(n, kdim, m, arch, scheme, seed):
     cfg = GemmConfig(k_hw=4, l=2, scheme=scheme, arch=arch)
     y, _, _ = gemm_obc(theta, x, bias, cfg)
     assert (y == gemm_oracle(theta, x, bias)).all()
+
+
+WIDTHS = st.one_of(st.sampled_from([2, 16, 30, 31, 32]), st.integers(2, 32))
+
+
+@settings(max_examples=80, deadline=None)
+@given(WIDTHS, WIDTHS, st.integers(1, 3),
+       st.integers(1, 40), st.integers(1, 3), st.sampled_from([3, 4, 8, 16]),
+       st.sampled_from(ARCHS), st.sampled_from([Scheme.A, Scheme.B]),
+       st.data())
+def test_gemm_exact_or_rejected_at_every_width(b1, b2, n, kdim, m, k_hw, arch,
+                                               scheme, data):
+    """Admitted widths give exact sums; the rest raise, never wrap."""
+    def draw(shape, bits):
+        lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+        vals = st.one_of(st.sampled_from([lo, hi]), st.integers(lo, hi))
+        flat = data.draw(st.lists(vals, min_size=int(np.prod(shape)),
+                                  max_size=int(np.prod(shape))))
+        return np.array(flat, dtype=np.int64).reshape(shape)
+
+    theta, x, bias = draw((n, kdim), b2), draw((kdim, m), b1), draw((n,), b2)
+    cfg = GemmConfig(k_hw=k_hw, l=1, scheme=scheme, arch=arch, b1=b1, b2=b2)
+    if kdim * 2 ** (b1 + b2 - 1) + 2 ** b2 >= 2 ** 63:
+        with pytest.raises(ValueError):
+            gemm_obc(theta, x, bias, cfg)
+        return
+    y, _, _ = gemm_obc(theta, x, bias, cfg)
+    want = [[sum(int(theta[i, k]) * int(x[k, j]) for k in range(kdim))
+             + int(bias[i]) for j in range(m)] for i in range(n)]
+    assert y.tolist() == want

@@ -12,21 +12,10 @@ from comet.lut_arch import (
     FactorizationError,
     LutArch,
     PreparedLut,
-    eval_hybrid,
-    eval_parallel,
-    eval_shared,
-    eval_split,
     lut_cost,
     split_total_adders,
 )
 from comet.obc_ipc import build_naive_lut
-
-EVALS = {
-    PARALLEL: eval_parallel,
-    SHARED: eval_shared,
-    SPLIT: eval_split,
-    HYBRID: eval_hybrid,
-}
 
 
 def _coeffs(k, salt=0):
@@ -68,7 +57,7 @@ def test_parallel_trace_from_zero_path():
     """Deriving an entry from the address-0 content matches the chain."""
     coeffs = [3, -5, 7, 2]
     for addr in range(16):
-        val, trace = eval_parallel(coeffs, addr)
+        val, trace = PreparedLut(PARALLEL, coeffs).eval(addr, record=True)
         assert trace["g0.from_zero"] == trace["g0.value"] == val
         assert trace["g0.chain0"] == val  # chain finishes at index 0
 
@@ -76,8 +65,8 @@ def test_parallel_trace_from_zero_path():
 def test_shared_trace_node_reuse():
     """Mirror-complement addresses hit the same sub-table node."""
     coeffs = [3, -5, 7, 2]
-    _, t3 = eval_shared(coeffs, 0b0011)
-    _, t4 = eval_shared(coeffs, 0b0100)
+    _, t3 = PreparedLut(SHARED, coeffs).eval(0b0011, record=True)
+    _, t4 = PreparedLut(SHARED, coeffs).eval(0b0100, record=True)
     # both reduce the low three bits to the canonical pattern 011
     assert "g0.sub011" in t3.nodes and "g0.sub011" in t4.nodes
     assert t3["g0.sub011"] == t4["g0.sub011"]
@@ -88,7 +77,7 @@ def test_shared_canonical_node_count():
     coeffs = [3, -5, 7, 2]
     names = set()
     for addr in range(16):
-        _, tr = eval_shared(coeffs, addr)
+        _, tr = PreparedLut(SHARED, coeffs).eval(addr, record=True)
         names |= {n for n in tr.nodes if ".sub" in n}
     assert len(names) == 4  # 2^(4-2)
 
@@ -96,7 +85,7 @@ def test_shared_canonical_node_count():
 def test_split_trace_halves_sum():
     coeffs = [3, -5, 7, 2, 1, -9, 4, 6]
     for addr in (0, 1, 0x5A, 0xFF, 0x80):
-        val, trace = eval_split(coeffs, addr)
+        val, trace = PreparedLut(SPLIT, coeffs).eval(addr, record=True)
         assert trace["left"] + trace["right"] == val
         for g in range(len(coeffs) // 4):
             assert trace[f"g{g}.left"] + trace[f"g{g}.right"] == \
@@ -106,8 +95,9 @@ def test_split_trace_halves_sum():
 def test_split_half_nodes_are_mirrored():
     """Each half reuses one canonical node for an address and its complement."""
     coeffs = [3, -5, 7, 2]
-    _, t_a = eval_split(coeffs, 0b0111)   # left half 01, right half 11
-    _, t_b = eval_split(coeffs, 0b1000)   # bitwise complement
+    lut = PreparedLut(SPLIT, coeffs)
+    _, t_a = lut.eval(0b0111, record=True)   # left half 01, right half 11
+    _, t_b = lut.eval(0b1000, record=True)   # bitwise complement
     left_a = {n: v for n, v in t_a.nodes.items() if "left_sub" in n}
     left_b = {n: v for n, v in t_b.nodes.items() if "left_sub" in n}
     assert left_a == left_b
@@ -118,7 +108,7 @@ def test_split_half_nodes_are_mirrored():
 def test_hybrid_trace_pair_nodes():
     coeffs = [3, -5, 7, 2]
     for addr in range(16):
-        val, trace = eval_hybrid(coeffs, addr)
+        val, trace = PreparedLut(HYBRID, coeffs).eval(addr, record=True)
         assert trace["pair0.sum"] == 3 + (-5)
         assert trace["pair0.diff"] == 3 - (-5)
         assert trace["pair1.sum"] == 7 + 2
@@ -136,7 +126,7 @@ def test_hybrid_select_logic():
         0b11: +(3 + -5),
     }
     for addr, want in cases.items():
-        val, trace = eval_hybrid(coeffs, addr)
+        val, trace = PreparedLut(HYBRID, coeffs).eval(addr, record=True)
         assert val == want
         assert trace["pair0.sel"] == ((addr >> 1) ^ addr) & 1
 
@@ -148,7 +138,7 @@ def test_hybrid_select_logic():
 def test_equivalence_property(kind, coeffs, data):
     addr = data.draw(st.integers(0, (1 << len(coeffs)) - 1))
     naive = build_naive_lut(coeffs)
-    assert EVALS[kind](coeffs, addr)[0] == naive(addr)
+    assert PreparedLut(kind, coeffs).eval(addr, record=True)[0] == naive(addr)
 
 
 # -- closed-form costs ----------------------------------------------------

@@ -11,7 +11,6 @@ from comet.metrics import (
     ens,
     ens_rounded,
     eps,
-    metric_row,
     reference_table,
     throughput_mac,
 )
@@ -62,17 +61,6 @@ def test_full_published_rows():
         assert row["eps"] == pytest.approx(exp["eps"], abs=1e-3), name
         assert row["aep"] == pytest.approx(exp["aep"], abs=1e-3), name
     assert KL_PRODUCT == 16
-
-
-def test_metric_row():
-    r = ResourceReport(luts=16406, power_w=0.835)
-    row = metric_row(r, 16, 1, 8, 100e6)
-    assert row["ens_rounded"] == 4102
-    assert row["t_mac_gops"] == pytest.approx(0.2)
-    assert row["eps"] == pytest.approx(4.175, abs=1e-3)
-    assert row["aep"] == pytest.approx(0.488, abs=1e-3)
-    row2 = metric_row(ResourceReport(luts=4), 16, 1, 8, 100e6)
-    assert "eps" not in row2
 
 
 @given(st.floats(1e5, 1e9), st.integers(1, 10 ** 5), st.integers(1, 64),
