@@ -26,7 +26,7 @@ from .obc_ipc import (
     sa_run,
 )
 from .im2col_addr import AddrEvent, CounterState, LayerConfigWord, run_layer, step
-from .gemm_core import GemmConfig, TilePlan, gemm_obc, gemm_oracle, im2col
+from .gemm_core import GemmConfig, gemm_obc, gemm_oracle, im2col
 from .cnn_model import ModelSpec, build_modified_lenet5, infer, infer_oracle
 from .metrics import ResourceReport, aep, ens, eps, throughput_mac
 from .tensor_io import WeightBundle, gen_input, gen_weights, read_cbt, write_cbt

@@ -17,7 +17,7 @@ import numpy as np
 from . import cnn_model, gemm_core, im2col_addr, metrics, tensor_io
 from .fxp import FxpFormat
 from .lut_arch import KINDS, FactorizationError, LutArch, lut_cost
-from .obc_ipc import IpcProblem, Scheme, ipc_obc, ipc_oracle
+from .obc_ipc import NAIVE_K_LIMIT, IpcProblem, Scheme, ipc_obc, ipc_oracle
 from .tensor_io import SplitMix64
 
 EXIT_OK = 0
@@ -63,7 +63,7 @@ def cmd_lut_cost(args) -> int:
                 p = args.p if args.p is not None else k // q
             else:
                 q = min(4, k)
-                p = k // q if q else 0
+                p = k // q
             try:
                 arch = LutArch(kind, k, p, q)
             except (FactorizationError, ValueError) as exc:
@@ -88,10 +88,13 @@ def cmd_verify(args) -> int:
     if args.trials < 1:
         print("error: --trials must be >= 1", file=sys.stderr)
         return EXIT_USAGE
+    if args.arch == "naive" and args.k > NAIVE_K_LIMIT:
+        print(f"error: --k {args.k} exceeds the naive-table bound "
+              f"{NAIVE_K_LIMIT}", file=sys.stderr)
+        return EXIT_USAGE
     rng = SplitMix64(args.seed)
     fmt_in, fmt_wt = FxpFormat(args.b1), FxpFormat(args.b2)
     scheme = Scheme(args.scheme)
-    arch = None if args.arch == "naive" else args.arch
     mismatches = 0
     first = None
     for trial in range(args.trials):
@@ -100,7 +103,7 @@ def cmd_verify(args) -> int:
         bias = rng.next_int(args.b2)
         prob = IpcProblem.from_vectors(weights, inputs, bias, scheme,
                                        fmt_in, fmt_wt)
-        got, _ = ipc_obc(prob, arch, record=False)
+        got, _ = ipc_obc(prob, args.arch, record=False)
         if args.inject_fault and trial == args.trials // 2:
             got += 1  # harness self-test: force one bogus result
         want = ipc_oracle(weights, inputs, bias)
@@ -303,9 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lut-cost", help="closed-form LUT cost tables")
     p.add_argument("--arch", default="all", choices=KINDS + ("all",))
-    p.add_argument("--k", type=int, nargs="+", default=[4])
-    p.add_argument("--p", type=int)
-    p.add_argument("--q", type=int)
+    p.add_argument("--k", type=_positive_int, nargs="+", default=[4])
+    p.add_argument("--p", type=_positive_int)
+    p.add_argument("--q", type=_positive_int)
     p.add_argument("--format", default="table",
                    choices=("table", "csv", "json"))
     p.set_defaults(func=cmd_lut_cost)

@@ -34,12 +34,26 @@ class LayerSpec:
     shift: int = 0                   # post-accumulation right shift
 
     @property
-    def patch_len(self) -> int:
+    def weight_shape(self) -> tuple[int, ...]:
+        """(N, C, kh, kw) for a convolution, (out, in) for a dense layer."""
         if self.kind == "conv":
-            return self.cfg.patch_len
+            c = self.cfg
+            return (c.n, c.c, c.kh, c.kw)
         if self.kind == "fc":
-            return self.in_features
-        raise ValueError("gap layers have no patch")
+            return (self.out_features, self.in_features)
+        raise ValueError("gap layers have no weights")
+
+    @property
+    def out_shape(self) -> tuple[int, ...]:
+        """(N, H_out, W_out) for a convolution, (out,) for a dense layer."""
+        if self.kind == "conv":
+            return (self.cfg.n, self.cfg.h_out, self.cfg.w_out)
+        return self.weight_shape[:1]
+
+    @property
+    def patch_len(self) -> int:
+        """GEMM inner dimension; a dense layer is the 1x1 im2col case."""
+        return math.prod(self.weight_shape[1:])
 
 
 @dataclass(frozen=True)
@@ -130,18 +144,36 @@ class InferResult:
 
 def _check_weights(model: ModelSpec, weights) -> None:
     for i, lay in enumerate(model.layers):
-        if lay.kind == "gap":
-            continue
-        w, b = weights[i].weight, weights[i].bias
-        if lay.kind == "conv":
-            c = lay.cfg
-            want = (c.n, c.c, c.kh, c.kw)
-            nb = c.n
-        else:
-            want = (lay.out_features, lay.in_features)
-            nb = lay.out_features
-        if tuple(w.shape) != want or b.shape != (nb,):
+        if lay.kind != "gap" and (
+                weights[i].weight.shape != lay.weight_shape
+                or weights[i].bias.shape != lay.out_shape[:1]):
             raise ValueError(f"layer {i} weight/bias shape mismatch")
+
+
+def _walk(model: ModelSpec, weights, x: np.ndarray, matmul) -> list:
+    """Run every layer and return each layer's output.
+
+    `matmul(layer, act, weight, bias)` gives a conv or dense layer's
+    accumulators in `layer.out_shape`; pooling, requantization and the
+    activation are applied here the same way for every caller.
+    """
+    _check_weights(model, weights)
+    act = np.asarray(x, dtype=np.int64)
+    fmt_in = FxpFormat(model.b1)
+    if act.min() < fmt_in.min_value or act.max() > fmt_in.max_value:
+        raise ValueError("input exceeds the activation format")
+    outputs = []
+    for i, lay in enumerate(model.layers):
+        if lay.kind == "gap":
+            act = _gap(act)
+        else:
+            lw = weights[i]
+            y = matmul(lay, act, np.asarray(lw.weight, dtype=np.int64),
+                       np.asarray(lw.bias, dtype=np.int64))
+            shift = getattr(lw, "shift", lay.shift)
+            act = _apply_act(requantize(y, shift, model.b1), lay.act)
+        outputs.append(act)
+    return outputs
 
 
 def infer(model: ModelSpec, weights, x: np.ndarray, gemm_cfg: GemmConfig,
@@ -151,58 +183,32 @@ def infer(model: ModelSpec, weights, x: np.ndarray, gemm_cfg: GemmConfig,
     `weights` maps layer index to an object with `.weight`, `.bias`, and
     optional `.shift` attributes (see tensor_io.WeightBundle).
     """
-    _check_weights(model, weights)
-    x = np.asarray(x, dtype=np.int64)
-    fmt_in = FxpFormat(model.b1)
-    if x.min() < fmt_in.min_value or x.max() > fmt_in.max_value:
-        raise ValueError("input exceeds the activation format")
-    act = x
-    total_cycles = 0
-    outputs, traces = [], []
-    for i, lay in enumerate(model.layers):
-        if lay.kind == "gap":
-            act = _gap(act)
-            outputs.append(act)
-            continue
-        w = np.asarray(weights[i].weight, dtype=np.int64)
-        b = np.asarray(weights[i].bias, dtype=np.int64)
-        shift = getattr(weights[i], "shift", lay.shift)
-        cfg = replace(gemm_cfg, b1=model.b1, b2=model.b2)
-        if lay.kind == "conv":
-            cols = im2col(act, lay.cfg)
-            theta = w.reshape(lay.cfg.n, -1)
-            y, cycles, tr = gemm_obc(theta, cols, b, cfg, record=record)
-            y = y.reshape(lay.cfg.n, lay.cfg.h_out, lay.cfg.w_out)
-        else:
-            y, cycles, tr = gemm_obc(w, act.reshape(-1, 1), b, cfg,
-                                     record=record)
-            y = y.reshape(-1)
-        total_cycles += cycles
-        act = _apply_act(requantize(y, shift, model.b1), lay.act)
-        outputs.append(act)
+    cfg = replace(gemm_cfg, b1=model.b1, b2=model.b2)
+    cycles, traces = [], []
+
+    def matmul(lay, act, w, b):
+        cols = im2col(act, lay.cfg) if lay.kind == "conv" \
+            else act.reshape(-1, 1)
+        y, n_cycles, tr = gemm_obc(w.reshape(len(w), -1), cols, b, cfg,
+                                   record=record)
+        cycles.append(n_cycles)
         traces.append(tr)
-    logits = [int(v) for v in act]
-    return InferResult(logits, int(np.argmax(act)), total_cycles,
-                       outputs, traces)
+        return y.reshape(lay.out_shape)
+
+    outputs = _walk(model, weights, x, matmul)
+    logits = outputs[-1]
+    return InferResult([int(v) for v in logits], int(np.argmax(logits)),
+                       sum(cycles), outputs, traces)
 
 
 def infer_oracle(model: ModelSpec, weights, x: np.ndarray) -> list[int]:
     """Direct sliding-window / dense evaluation with identical rescaling."""
-    _check_weights(model, weights)
-    act = np.asarray(x, dtype=np.int64)
-    for i, lay in enumerate(model.layers):
-        if lay.kind == "gap":
-            act = _gap(act)
-            continue
-        w = np.asarray(weights[i].weight, dtype=np.int64)
-        b = np.asarray(weights[i].bias, dtype=np.int64)
-        shift = getattr(weights[i], "shift", lay.shift)
+    def matmul(lay, act, w, b):
         if lay.kind == "conv":
-            y = conv_direct(act, w, b, lay.cfg)
-        else:
-            y = w @ act.reshape(-1) + b
-        act = _apply_act(requantize(y, shift, model.b1), lay.act)
-    return [int(v) for v in act]
+            return conv_direct(act, w, b, lay.cfg)
+        return w @ act.reshape(-1) + b
+
+    return [int(v) for v in _walk(model, weights, x, matmul)[-1]]
 
 
 def conv_direct(x: np.ndarray, w: np.ndarray, bias: np.ndarray,
@@ -222,11 +228,6 @@ def conv_direct(x: np.ndarray, w: np.ndarray, bias: np.ndarray,
 def model_cycles(model: ModelSpec, gemm_cfg: GemmConfig) -> int:
     """Closed-form cycle total over the GEMM-lowered layers."""
     cfg = replace(gemm_cfg, b1=model.b1, b2=model.b2)
-    total = 0
-    for lay in model.layers:
-        if lay.kind == "conv":
-            c = lay.cfg
-            total += gemm_cycles(c.n, c.h_out * c.w_out, c.patch_len, cfg)
-        elif lay.kind == "fc":
-            total += gemm_cycles(lay.out_features, 1, lay.in_features, cfg)
-    return total
+    return sum(gemm_cycles(lay.out_shape[0], math.prod(lay.out_shape[1:]),
+                           lay.patch_len, cfg)
+               for lay in model.layers if lay.kind != "gap")

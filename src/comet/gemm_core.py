@@ -37,34 +37,19 @@ class GemmConfig:
     k_hw: int = 16
     l: int = 10
     scheme: Scheme = Scheme.A
-    arch: str | None = HYBRID   # None = naive dense table
+    arch: str = HYBRID          # a LUT technique or "naive"
     b1: int = 8
     b2: int = 8
 
     def __post_init__(self):
         if self.k_hw < 1 or self.l < 1:
             raise ValueError("k_hw and l must be positive")
-        if self.arch is not None and self.arch not in KINDS + ("naive",):
+        if self.arch not in KINDS + ("naive",):
             raise ValueError(f"unknown LUT technique {self.arch!r}")
 
     @property
     def serial_bits(self) -> int:
         return self.b1 if self.scheme is Scheme.A else self.b2
-
-
-@dataclass(frozen=True)
-class TilePlan:
-    """How a patch of length `patch_len` is cut into k_hw-wide tiles."""
-
-    patch_len: int
-    k_hw: int
-    tiles: int
-    tail_pad: int
-
-    @classmethod
-    def for_patch(cls, patch_len: int, k_hw: int) -> "TilePlan":
-        tiles = -(-patch_len // k_hw)
-        return cls(patch_len, k_hw, tiles, tiles * k_hw - patch_len)
 
 
 def im2col(x: np.ndarray, cfg: LayerConfigWord) -> np.ndarray:
@@ -86,10 +71,12 @@ def im2col(x: np.ndarray, cfg: LayerConfigWord) -> np.ndarray:
 
 def gemm_oracle(theta: np.ndarray, xcols: np.ndarray,
                 bias: np.ndarray) -> np.ndarray:
-    """Direct integer matrix product: the ground truth for gemm_obc."""
-    theta = np.asarray(theta, dtype=np.int64)
-    xcols = np.asarray(xcols, dtype=np.int64)
-    bias = np.asarray(bias, dtype=np.int64)
+    """Direct integer matrix product: the ground truth for gemm_obc.
+
+    Computed on Python integers, so it is exact at every width.
+    """
+    theta, xcols, bias = (np.asarray(a).astype(object)
+                          for a in (theta, xcols, bias))
     return theta @ xcols + bias[:, None]
 
 
@@ -99,10 +86,11 @@ def gemm_cycles(n: int, m: int, patch_len: int, cfg: GemmConfig) -> int:
     return m * tiles * cfg.serial_bits * (-(-n // cfg.l))
 
 
-def _pad_cols(a: np.ndarray, rows: int) -> np.ndarray:
-    if a.shape[0] == rows:
-        return a
-    return np.pad(a, ((0, rows - a.shape[0]),) + ((0, 0),) * (a.ndim - 1))
+def _tiled(rows: np.ndarray, k_hw: int) -> np.ndarray:
+    """(R, patch_len) -> (R, tiles, k_hw), the last tile zero-padded."""
+    tiles = -(-rows.shape[1] // k_hw)
+    rows = np.pad(rows, ((0, 0), (0, tiles * k_hw - rows.shape[1])))
+    return rows.reshape(len(rows), tiles, k_hw)
 
 
 def gemm_obc(theta: np.ndarray, xcols: np.ndarray, bias: np.ndarray,
@@ -140,55 +128,42 @@ def gemm_obc(theta: np.ndarray, xcols: np.ndarray, bias: np.ndarray,
         raise ValueError(f"a {patch_len}-long patch at B1={cfg.b1}, "
                          f"B2={cfg.b2} can overflow the int64 accumulator")
 
-    plan = TilePlan.for_patch(patch_len, cfg.k_hw)
     cycles = gemm_cycles(n_out, m_out, patch_len, cfg)
     if record:
-        y, traces = _gemm_scalar(theta, xcols, bias, cfg, plan,
-                                 fmt_in, fmt_wt)
+        y, traces = _gemm_scalar(theta, xcols, bias, cfg, fmt_in, fmt_wt)
         return y, cycles, traces
-    return _gemm_vectorized(theta, xcols, bias, cfg, plan), cycles, None
+    return _gemm_vectorized(theta, xcols, bias, cfg), cycles, None
 
 
-def _gemm_scalar(theta, xcols, bias, cfg, plan, fmt_in, fmt_wt):
+def _gemm_scalar(theta, xcols, bias, cfg, fmt_in, fmt_wt):
     """Reference engine: one ipc_obc call per (row, column, tile)."""
-    n_out, m_out = theta.shape[0], xcols.shape[1]
-    k = plan.k_hw
-    tpad = _pad_cols(theta.T, plan.tiles * k).T.tolist()
-    xpad = _pad_cols(xcols, plan.tiles * k).tolist()
-    y = np.zeros((n_out, m_out), dtype=np.int64)
+    w_rows = _tiled(theta, cfg.k_hw).tolist()
+    x_rows = _tiled(xcols.T, cfg.k_hw).tolist()
+    y = np.zeros((len(w_rows), len(x_rows)), dtype=np.int64)
     traces = {}
-    arch = None if cfg.arch == "naive" else cfg.arch
-    for n in range(n_out):
-        for m in range(m_out):
-            acc = 0
-            for t in range(plan.tiles):
-                w_tile = [tpad[n][i] for i in range(t * k, (t + 1) * k)]
-                x_tile = [xpad[i][m] for i in range(t * k, (t + 1) * k)]
-                tile_bias = int(bias[n]) if t == plan.tiles - 1 else 0
+    for n, w_tiles in enumerate(w_rows):
+        last = len(w_tiles) - 1
+        for m, x_tiles in enumerate(x_rows):
+            for t, (w_tile, x_tile) in enumerate(zip(w_tiles, x_tiles)):
+                tile_bias = int(bias[n]) if t == last else 0
                 prob = IpcProblem.from_vectors(
                     w_tile, x_tile, tile_bias, cfg.scheme, fmt_in, fmt_wt)
-                res, trace = ipc_obc(prob, arch, record=True)
-                acc += res
-                traces[(n, m, t)] = trace
-            y[n, m] = acc
+                res, traces[(n, m, t)] = ipc_obc(prob, cfg.arch, record=True)
+                y[n, m] += res
     return y, traces
 
 
-def _gemm_vectorized(theta, xcols, bias, cfg, plan):
+def _gemm_vectorized(theta, xcols, bias, cfg):
     """Vectorized engine: one table kernel for both schemes."""
-    k = plan.k_hw
+    k = cfg.k_hw
     kq, q = padded_layout(k)
     # naive stays on the parallel layout: a dense 2^k_hw table per column
     # would not fit in memory for Scheme B
-    kind = PARALLEL if cfg.arch in (None, "naive") else cfg.arch
+    kind = PARALLEL if cfg.arch == "naive" else cfg.arch
     fields = field_layout(kind, kq, q)
-
-    def tiled(rows):   # (R, patch_len) -> (R, tiles, kq), zero-padded
-        rows = np.pad(rows, ((0, 0), (0, plan.tail_pad)))
-        return np.pad(rows.reshape(len(rows), plan.tiles, k),
-                      ((0, 0), (0, 0), (0, kq - k)))
-
-    w_rows, x_rows = tiled(theta), tiled(xcols.T)
+    # (R, patch_len) -> (R, tiles, kq): tiled, then padded to the layout
+    w_rows, x_rows = (np.pad(_tiled(rows, k), ((0, 0), (0, 0), (0, kq - k)))
+                      for rows in (theta, xcols.T))
     if cfg.scheme is Scheme.A:
         y2 = _obc_kernel(w_rows, x_rows, cfg.b1, fields)
     else:

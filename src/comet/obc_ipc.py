@@ -177,15 +177,15 @@ def ipc_oracle(weights, inputs, bias: int = 0) -> int:
     return sum(int(w) * int(x) for w, x in zip(weights, inputs)) + bias
 
 
-def ipc_obc(problem: IpcProblem, lut_impl: str | None = None,
+def ipc_obc(problem: IpcProblem, lut_impl: str = "naive",
             record: bool = True) -> tuple[int, SaTrace | None]:
     """Evaluate one inner product through the OBC datapath.
 
     `lut_impl` selects a structural technique ("parallel", "shared",
-    "split", "hybrid") or the naive dense table when None/"naive".
+    "split", "hybrid") or the naive dense table ("naive").
     """
     coeffs = list(problem.coeffs)
-    if lut_impl is None or lut_impl == "naive":
+    if lut_impl == "naive":
         lut = build_naive_lut(coeffs)
     elif lut_impl in KINDS:
         lut = PreparedLut(lut_impl, coeffs).value

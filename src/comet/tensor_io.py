@@ -151,24 +151,15 @@ class WeightBundle:
         return h.hexdigest()
 
 
-def _layer_shapes(model):
-    for i, lay in enumerate(model.layers):
-        if lay.kind == "conv":
-            c = lay.cfg
-            yield i, (c.n, c.c, c.kh, c.kw), c.n, lay.shift
-        elif lay.kind == "fc":
-            yield i, (lay.out_features, lay.in_features), lay.out_features, \
-                lay.shift
-
-
 def gen_weights(seed: int, model, b2: int) -> WeightBundle:
     """Deterministic weight/bias bundle for a model, all values B2-wide."""
     rng = SplitMix64(seed)
     layers = {}
-    for idx, wshape, nbias, shift in _layer_shapes(model):
-        w = rng.fill(wshape, b2)
-        b = rng.fill((nbias,), b2)
-        layers[idx] = LayerWeights(w, b, shift)
+    for idx, lay in enumerate(model.layers):
+        if lay.kind != "gap":
+            w = rng.fill(lay.weight_shape, b2)
+            b = rng.fill(lay.out_shape[:1], b2)
+            layers[idx] = LayerWeights(w, b, lay.shift)
     return WeightBundle(layers)
 
 

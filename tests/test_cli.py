@@ -89,12 +89,21 @@ def test_verify_detects_injected_fault(capsys):
     ["infer", "--k-hw", "0"],
     ["infer", "--l", "0"],
     ["infer", "--b1", "40"],
+    ["lut-cost", "--k", "0"],
+    ["lut-cost", "--p", "0"],
+    ["lut-cost", "--q", "0"],
 ])
 def test_bad_numeric_arguments_exit_usage(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == EXIT_USAGE
     assert "error" in capsys.readouterr().err
+
+
+def test_verify_naive_rejects_k_above_table_bound(capsys):
+    code, _, err = run(capsys, "verify", "--arch", "naive", "--k", "25")
+    assert code == EXIT_USAGE
+    assert "error" in err and "24" in err
 
 
 def test_verify_rejects_zero_trials(capsys):

@@ -39,6 +39,14 @@ def test_shape_chain():
     assert model.layers[5].in_features == 16
     assert model.layers[5].out_features == 32
     assert model.layers[6].out_features == 10
+    conv1, gap, fc1 = model.layers[0], model.layers[4], model.layers[5]
+    assert conv1.weight_shape == (6, 1, 5, 5)
+    assert conv1.out_shape == (6, 28, 28) and conv1.patch_len == 25
+    assert fc1.weight_shape == (32, 16)
+    assert fc1.out_shape == (32,) and fc1.patch_len == 16
+    for prop in ("weight_shape", "out_shape", "patch_len"):
+        with pytest.raises(ValueError):
+            getattr(gap, prop)
 
 
 def test_strided_convs_replace_pooling():
@@ -170,13 +178,14 @@ def test_conv_direct_matches_manual():
 def test_infer_validates_weights_and_input():
     model = build_modified_lenet5()
     w = gen_weights(0, model, 8)
-    with pytest.raises(ValueError):
-        infer(model, w, np.full((1, 32, 32), 300), CFG)
     bad = {i: LayerWeights(lw.weight[:, :1], lw.bias, lw.shift)
            if lw.weight.ndim == 2 else lw
            for i, lw in w.layers.items()}
-    with pytest.raises(ValueError):
-        infer(model, WeightBundle(bad), gen_input(0, (1, 32, 32), 8), CFG)
+    for run in (lambda *args: infer(*args, CFG), infer_oracle):
+        with pytest.raises(ValueError):
+            run(model, w, np.full((1, 32, 32), 300))
+        with pytest.raises(ValueError):
+            run(model, WeightBundle(bad), gen_input(0, (1, 32, 32), 8))
 
 
 def test_relu_output_is_nonnegative():

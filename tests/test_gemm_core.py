@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from comet.gemm_core import (
     GemmConfig,
-    TilePlan,
     gemm_cycles,
     gemm_obc,
     gemm_oracle,
@@ -96,15 +95,6 @@ def test_piso_round_trip(b, data):
     assert rebuilt == ops
 
 
-# -- tiling ---------------------------------------------------------------
-
-def test_tile_plan():
-    plan = TilePlan.for_patch(25, 16)
-    assert plan.tiles == 2 and plan.tail_pad == 7
-    plan = TilePlan.for_patch(32, 16)
-    assert plan.tiles == 2 and plan.tail_pad == 0
-
-
 # -- cycle law ------------------------------------------------------------
 
 def test_cycle_formula_examples():
@@ -192,6 +182,13 @@ def test_bias_joins_last_tile_only():
         coeffs = theta[n, t * 4:(t + 1) * 4]
         expected = -int(coeffs.sum()) + (2 * int(bias[n]) if t == 1 else 0)
         assert init == expected
+
+
+def test_gemm_oracle_exact_past_int64():
+    # 8 * (-2^30)^2 = 2^63, one past the int64 range
+    theta = np.full((1, 8), -(1 << 30))
+    y = gemm_oracle(theta, theta.T, np.zeros(1, dtype=np.int64))
+    assert y[0, 0] == 1 << 63
 
 
 def test_gemm_validation():
