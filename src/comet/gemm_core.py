@@ -2,23 +2,17 @@
 
 Matrix products are computed tile-by-tile through the offset-binary
 shift-accumulate datapath and must equal the direct integer GEMM oracle
-bit-exactly.  Two engines share that contract:
-
-* a scalar reference engine built on :func:`comet.obc_ipc.ipc_obc`, which
-  produces per-slice traces, and
-* a vectorized engine that builds each tile's stored field tables (the
-  layout `comet.lut_arch.field_layout` gives per technique) with numpy
-  and reads them for every bit-slice of every serial operand at once.
-  One kernel serves both schemes: Scheme B is Scheme A with the
-  coefficient and serial operands swapped and the result transposed.
-  It is the default because full-model inference would otherwise be
-  impractically slow.
-
-Both are cross-checked in the test suite; `record=True` selects the
-scalar engine.
+bit-exactly.  Two engines share that contract: a scalar reference engine
+built on :func:`comet.obc_ipc.ipc_obc`, which produces per-slice traces
+(`record=True`), and the default vectorized engine.  That is one kernel
+for both schemes (Scheme B swaps the coefficient and serial operands and
+transposes the result); it builds every tile's stored field tables
+(`comet.lut_arch.field_layout`) by one product and counts the table reads
+of every bit-slice of every serial operand with one bincount.
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -86,11 +80,13 @@ def gemm_cycles(n: int, m: int, patch_len: int, cfg: GemmConfig) -> int:
     return m * tiles * cfg.serial_bits * (-(-n // cfg.l))
 
 
-def _tiled(rows: np.ndarray, k_hw: int) -> np.ndarray:
-    """(R, patch_len) -> (R, tiles, k_hw), the last tile zero-padded."""
-    tiles = -(-rows.shape[1] // k_hw)
-    rows = np.pad(rows, ((0, 0), (0, tiles * k_hw - rows.shape[1])))
-    return rows.reshape(len(rows), tiles, k_hw)
+def _tiled(rows: np.ndarray, k_hw: int, width=None) -> np.ndarray:
+    """(R, patch_len) -> (R, tiles, width or k_hw), zeros after values."""
+    r, full = len(rows), rows.shape[1] // k_hw
+    out = np.zeros((r, -(-rows.shape[1] // k_hw), width or k_hw), rows.dtype)
+    out[:, :full, :k_hw] = rows[:, :full * k_hw].reshape(r, full, k_hw)
+    out[:, full:, :rows.shape[1] - full * k_hw] = rows[:, None, full * k_hw:]
+    return out
 
 
 def gemm_obc(theta: np.ndarray, xcols: np.ndarray, bias: np.ndarray,
@@ -155,15 +151,12 @@ def _gemm_scalar(theta, xcols, bias, cfg, fmt_in, fmt_wt):
 
 def _gemm_vectorized(theta, xcols, bias, cfg):
     """Vectorized engine: one table kernel for both schemes."""
-    k = cfg.k_hw
-    kq, q = padded_layout(k)
+    kq, q = padded_layout(cfg.k_hw)
     # naive stays on the parallel layout: a dense 2^k_hw table per column
     # would not fit in memory for Scheme B
     kind = PARALLEL if cfg.arch == "naive" else cfg.arch
-    fields = field_layout(kind, kq, q)
-    # (R, patch_len) -> (R, tiles, kq): tiled, then padded to the layout
-    w_rows, x_rows = (np.pad(_tiled(rows, k), ((0, 0), (0, 0), (0, kq - k)))
-                      for rows in (theta, xcols.T))
+    fields = tuple(field_layout(kind, kq, q))
+    w_rows, x_rows = (_tiled(rows, cfg.k_hw, kq) for rows in (theta, xcols.T))
     if cfg.scheme is Scheme.A:
         y2 = _obc_kernel(w_rows, x_rows, cfg.b1, fields)
     else:
@@ -173,45 +166,52 @@ def _gemm_vectorized(theta, xcols, bias, cfg):
     return y2 >> 1
 
 
+@cache
+def _layout_constants(fields, kq):
+    """Per-layout sign matrix (`field_entries` over unit coefficients),
+    bit place values, field widths, mirror flags and offsets; read-only."""
+    unit = list(np.eye(kq))
+    entries = [field_entries(unit[s:s + w], m) for s, w, m in fields]
+    place = np.zeros((kq, len(fields)), dtype=np.float32)
+    for i, (s, w, _) in enumerate(fields):
+        place[s:s + w, i] = 2.0 ** np.arange(w - 1, -1, -1)
+    _, width, mirrored = (np.array(v, dtype=np.int8) for v in zip(*fields))
+    consts = (np.stack(sum(entries, []), axis=1), place, width, mirrored,
+              np.cumsum([0] + [len(e) for e in entries[:-1]]))
+    for a in consts:
+        a.flags.writeable = False
+    return consts
+
+
 def _obc_kernel(coef, serial, b, fields):
     """Doubled products 2 * sum(coef[p] * serial[q]) over all tiles: (P, Q).
 
-    `coef` (P, tiles, kq) fills one set of stored field tables per row and
-    tile; `serial` (Q, tiles, kq) is bit-sliced LSB first over `b` cycles,
-    the sign slice accumulated negated.  The field addresses of every
-    slice are formed at once.  Each read adds its slice weight to a count
-    per (serial row, stored entry), negated reads to a second block that
-    is subtracted, and one product with the tables sums them.
+    The (P, tiles, kq) coef rows fill their stored field tables by one
+    product with the layout's sign matrix.  The (Q, tiles, kq) serial rows
+    are bit-sliced LSB first over `b` cycles (the sign slice weighs
+    negative); one bincount sums the reads' signed slice weights per (row,
+    tile, stored entry), and one int64 product with the tables sums them.
+
+    Both float64 steps are exact: a stored entry sums at most q <= 4
+    coefficients of at most 32 bits, so it stays below 2^35 < 2^53, and a
+    bin only collects the b slices of one (row, tile, field), so its
+    magnitude stays below 2^b <= 2^32.
     """
-    n_coef, tiles, kq = coef.shape
-    n_serial = serial.shape[0]
-    cols = list(np.moveaxis(coef, -1, 0))
-    tables = np.concatenate(
-        [np.stack(field_entries(cols[s:s + w], m), axis=-1)
-         for s, w, m in fields], axis=-1).reshape(n_coef, -1)
-    n_stored = tables.shape[1]          # tiles * stored entries per tile
-    start, width, mirrored = (np.array(v) for v in zip(*fields))
-    # field values per (serial row, tile, field, slice), kept as bytes:
-    # operands fit 32 bits and fields here are at most 4 bits wide
-    bits = np.unpackbits(serial.astype("<u4")[..., None].view(np.uint8),
-                         axis=-1, bitorder="little")[..., :b]
-    place = np.repeat(start + width - 1, width) - np.arange(kq)
-    bits <<= place.astype(np.uint8)[:, None]
-    f = np.add.reduceat(bits, start, axis=2, dtype=np.uint8)
-    index, sign = mirror_read(f, width.astype(np.int8)[:, None],
-                              mirrored.astype(np.int8)[:, None])
-    # flat index into `reads` (serial row, +/- block, tile, entry);
-    # int32 suffices, as `reads` itself must fit in memory
-    size = np.array([1 << (w - m) for _, w, m in fields])
-    index = index.astype(np.int32)
-    index += ((np.cumsum(size) - size)[:, None]
-              + np.arange(0, n_stored, n_stored // tiles)[:, None, None]
-              + np.arange(n_serial)[:, None, None, None] * (2 * n_stored)
-              ).astype(np.int32) + (sign < 0) * np.int32(n_stored)
-    reads = np.zeros(n_serial * 2 * n_stored, dtype=np.int64)
-    for shift in range(b):
-        weight = -(1 << shift) if shift == b - 1 else 1 << shift
-        np.add.at(reads, index[..., shift].ravel(), weight)
-    reads = reads.reshape(n_serial, 2, n_stored)
-    reads = reads[:, 0] - reads[:, 1]
-    return -coef.sum(axis=(1, 2))[:, None] + tables @ reads.T
+    _, tiles, kq = coef.shape
+    signs, place, width, mirrored, offset = _layout_constants(fields, kq)
+    stored = tiles * signs.shape[1]         # stored entries per row
+    tables = (coef.reshape(-1, kq) @ signs).astype(np.int64)
+    # (Q * tiles, b, kq) bits from only the bytes that b needs
+    data = serial.astype(f"<u{(1, 2, 4, 4)[(b - 1) // 8]}")[..., None]
+    bits = np.unpackbits(data.view(np.uint8).swapaxes(-1, -2), axis=-2,
+                         count=b, bitorder="little").reshape(-1, b, kq)
+    # fields are at most 4 bits wide: exact in float32 and in int8
+    f = (bits @ place).astype(np.int8)
+    index, sign = mirror_read(f, width, mirrored)
+    bins = len(serial) * stored
+    index = index + offset + np.arange(0, bins, signs.shape[1])[:, None, None]
+    weight = np.append(2.0 ** np.arange(b - 1), -2.0 ** (b - 1))
+    reads = np.bincount(index.ravel(), (sign * weight[:, None]).ravel(), bins)
+    return -coef.sum(axis=(1, 2))[:, None] + np.einsum(
+        "ps,qs->pq", tables.reshape(len(coef), stored),
+        reads.astype(np.int64).reshape(len(serial), stored))

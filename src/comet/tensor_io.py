@@ -44,6 +44,10 @@ class RangeViolation(CbtError):
     pass
 
 
+class BundleError(CbtError):
+    """A bundle manifest that is malformed or names a file outside it."""
+
+
 def write_cbt(tensor: np.ndarray, path) -> None:
     """Serialize an integer tensor; dtype chosen from its declared dtype."""
     tensor = np.asarray(tensor)
@@ -74,6 +78,8 @@ def read_cbt(path) -> np.ndarray:
     if len(data) < 8:
         raise Truncated(f"header cut short at offset {len(data)}")
     version, code, rank = struct.unpack("<HBB", data[4:8])
+    if version != VERSION:
+        raise CbtError(f"unsupported version {version} at offset 4")
     if code not in _DTYPES:
         raise CbtError(f"unknown dtype code {code} at offset 6")
     off = 8
@@ -185,13 +191,27 @@ def save_weight_bundle(bundle: WeightBundle, model, directory) -> None:
 
 
 def load_weight_bundle(directory) -> WeightBundle:
-    directory = Path(directory)
-    manifest = json.loads((directory / "manifest.json").read_text())
-    layers = {}
-    for key, entry in manifest["layers"].items():
-        layers[int(key)] = LayerWeights(
-            read_cbt(directory / entry["weight"]),
-            read_cbt(directory / entry["bias"]),
-            int(entry["shift"]),
-        )
-    return WeightBundle(layers)
+    """Read a bundle written by save_weight_bundle.
+
+    Raises BundleError when the manifest is not JSON, lacks `layers` or a
+    layer's `weight`/`bias`/`shift`, or names a file that is not a string
+    or resolves outside the bundle directory.
+    """
+    directory = Path(directory).resolve()
+    text = (directory / "manifest.json").read_text()
+    try:
+        entries = {int(key): (e["weight"], e["bias"], int(e["shift"]))
+                   for key, e in json.loads(text)["layers"].items()}
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise BundleError(f"malformed manifest.json: {exc!r}") from exc
+
+    def tensor(name):
+        if not isinstance(name, str):
+            raise BundleError(f"manifest file name {name!r} is not a string")
+        path = (directory / name).resolve()
+        if not path.is_relative_to(directory):
+            raise BundleError(f"manifest names {name!r} outside the bundle")
+        return read_cbt(path)
+
+    return WeightBundle({idx: LayerWeights(tensor(w), tensor(b), shift)
+                         for idx, (w, b, shift) in entries.items()})

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from comet.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, main
-from comet.tensor_io import write_cbt
+from comet.cnn_model import build_modified_lenet5
+from comet.tensor_io import gen_weights, save_weight_bundle, write_cbt
 
 
 def run(capsys, *argv):
@@ -145,6 +146,24 @@ def test_infer_missing_input_file(capsys, tmp_path):
                        str(tmp_path / "missing.cbt"))
     assert code == EXIT_USAGE
     assert "error" in err
+
+
+@pytest.mark.parametrize("bad", ["outside", "not json"])
+def test_infer_rejects_bad_bundle(capsys, tmp_path, bad):
+    model = build_modified_lenet5()
+    save_weight_bundle(gen_weights(42, model, 8), model, tmp_path / "w")
+    manifest = tmp_path / "w" / "manifest.json"
+    if bad == "outside":
+        # a working copy of the layer's weights, but outside the bundle
+        (tmp_path / "w" / "layer0.weight.cbt").rename(tmp_path / "w0.cbt")
+        text = manifest.read_text().replace('"layer0.weight.cbt"',
+                                            '"../w0.cbt"')
+    else:
+        text = "{not json"
+    manifest.write_text(text)
+    code, _, err = run(capsys, "infer", "--weights", str(tmp_path / "w"))
+    assert code == EXIT_USAGE
+    assert err.startswith("error:")
 
 
 def test_infer_trace_dump(capsys, tmp_path):

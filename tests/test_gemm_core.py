@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from comet.gemm_core import (
     GemmConfig,
+    _layout_constants,
     gemm_cycles,
     gemm_obc,
     gemm_oracle,
@@ -13,6 +14,7 @@ from comet.gemm_core import (
     piso_schedule,
 )
 from comet.im2col_addr import LayerConfigWord
+from comet.lut_arch import PreparedLut, field_layout, padded_layout
 from comet.obc_ipc import Scheme
 from comet.tensor_io import SplitMix64
 
@@ -145,6 +147,43 @@ def test_scalar_and_vectorized_engines_agree(scheme, arch):
     assert all(t.cycles == b for t in traces.values())
     # one trace per (row, column, tile)
     assert len(traces) == 3 * 4 * 3
+
+
+@pytest.mark.parametrize("scheme", [Scheme.A, Scheme.B])
+@pytest.mark.parametrize("arch", ARCHS)
+def test_gemm_at_largest_slice_weight(scheme, arch):
+    """Serial operands all -2^31 at B_serial = 32, the largest slice
+    weight: a mirrored field's entry-0 read count reaches 2^32 - 1."""
+    b1, b2 = (32, 24) if scheme is Scheme.A else (24, 32)
+    theta = _rand((3, 20), b2, seed=61)
+    x = _rand((20, 5), b1, seed=62)
+    if scheme is Scheme.A:
+        x[:] = -(1 << 31)
+    else:
+        theta[:] = -(1 << 31)
+    bias = _rand((3,), b2, seed=63)
+    cfg = GemmConfig(k_hw=8, l=1, scheme=scheme, arch=arch, b1=b1, b2=b2)
+    y, _, _ = gemm_obc(theta, x, bias, cfg)
+    assert (y == gemm_oracle(theta, x, bias)).all()
+    # the kernel's tables (sign-matrix product) are PreparedLut's, here
+    # at 32-bit coefficients with entries up to 2^33
+    kind = "parallel" if arch == "naive" else arch
+    coeffs = [-(1 << 31)] * 5 + _rand((3,), 32, seed=64).tolist()
+    kq, q = padded_layout(len(coeffs))
+    signs = _layout_constants(tuple(field_layout(kind, kq, q)), kq)[0]
+    want = np.concatenate(PreparedLut(kind, coeffs).tables)
+    assert ((np.array(coeffs) @ signs).astype(np.int64) == want).all()
+
+
+@pytest.mark.parametrize("scheme", [Scheme.A, Scheme.B])
+@pytest.mark.parametrize("n, m", [(0, 3), (2, 0)])
+def test_gemm_empty_rows_or_columns(scheme, n, m):
+    theta, x = _rand((n, 5), 8, seed=71), _rand((5, m), 8, seed=72)
+    bias = _rand((n,), 8, seed=73)
+    cfg = GemmConfig(k_hw=4, l=1, scheme=scheme, arch="hybrid")
+    for record in (False, True):
+        y, _, _ = gemm_obc(theta, x, bias, cfg, record=record)
+        assert y.shape == (n, m)
 
 
 def test_gemm_mixed_widths():

@@ -1,5 +1,7 @@
 """Tensor container format, seeded generators, and bundle digests."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from comet.cnn_model import build_modified_lenet5
 from comet.tensor_io import (
     MAGIC,
+    BundleError,
+    CbtError,
     MagicMismatch,
     RangeViolation,
     SplitMix64,
@@ -89,6 +93,17 @@ def test_truncated_header(tmp_path):
         read_cbt(p)
 
 
+def test_unknown_version(tmp_path):
+    p = tmp_path / "t.cbt"
+    write_cbt(np.arange(4, dtype=np.int8), p)
+    data = bytearray(p.read_bytes())
+    data[4:6] = b"\x02\x00"
+    p.write_bytes(bytes(data))
+    with pytest.raises(CbtError) as exc:
+        read_cbt(p)
+    assert "version 2" in str(exc.value) and "offset 4" in str(exc.value)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.integers(-(2 ** 31), 2 ** 31 - 1), min_size=0,
                 max_size=20))
@@ -159,3 +174,36 @@ def test_bundle_save_load_round_trip(tmp_path):
     assert back.digest() == bundle.digest()
     assert (back[0].weight == bundle[0].weight).all()
     assert back[6].shift == bundle[6].shift
+
+
+def _saved_manifest(tmp_path):
+    """Save a bundle under tmp_path/w and return its manifest."""
+    model = build_modified_lenet5()
+    save_weight_bundle(gen_weights(17, model, 8), model, tmp_path / "w")
+    return json.loads((tmp_path / "w" / "manifest.json").read_text())
+
+
+def test_bundle_rejects_files_outside_it(tmp_path):
+    manifest = _saved_manifest(tmp_path)
+    outside = tmp_path / "outside.cbt"
+    write_cbt(np.zeros((6, 1, 5, 5), dtype=np.int8), outside)
+    for name in ("../outside.cbt", "sub/../../outside.cbt", str(outside)):
+        manifest["layers"]["0"]["weight"] = name
+        (tmp_path / "w" / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(BundleError) as exc:
+            load_weight_bundle(tmp_path / "w")
+        assert "outside the bundle" in str(exc.value)
+
+
+@pytest.mark.parametrize("drop", [None, "layers", "weight", "bias", "shift"])
+def test_bundle_rejects_malformed_manifest(tmp_path, drop):
+    """Not JSON (drop None), or JSON that lacks a required key."""
+    manifest = _saved_manifest(tmp_path)
+    if drop == "layers":
+        del manifest["layers"]
+    elif drop:
+        del manifest["layers"]["5"][drop]
+    text = json.dumps(manifest) if drop else "{not json"
+    (tmp_path / "w" / "manifest.json").write_text(text)
+    with pytest.raises(BundleError):
+        load_weight_bundle(tmp_path / "w")
