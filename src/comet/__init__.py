@@ -1,6 +1,6 @@
 """Bit-exact simulator of an OBC LUT + shift-accumulate CNN accelerator."""
 
-from .fxp import FxpFormat, bit_slice, from_bits, obc_delta, quantize_saturate
+from .fxp import FxpFormat
 from .lut_arch import (
     HYBRID,
     KINDS,
@@ -8,9 +8,7 @@ from .lut_arch import (
     SHARED,
     SPLIT,
     LutArch,
-    LutCost,
     PreparedLut,
-    StructTrace,
     lut_cost,
 )
 from .obc_ipc import (

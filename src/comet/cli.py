@@ -163,15 +163,17 @@ def cmd_infer(args) -> int:
     if record:
         outdir = Path(args.dump_trace)
         outdir.mkdir(parents=True, exist_ok=True)
-        for li, traces in enumerate(result.traces):
+        for li, trace in enumerate(result.traces):
+            n, m, tile, r = np.indices(trace["accumulator"].shape)
+            # slices run LSB first, so slice_r counts down from B - 1
+            columns = (n, m, tile, r[..., ::-1], trace["address"],
+                       trace["lut_output"], trace["accumulator"])
             with open(outdir / f"layer{li}.csv", "w", newline="") as f:
                 w = csv.writer(f)
                 w.writerow(["n", "m", "tile", "slice_r", "address",
                             "lut_output", "accumulator"])
-                for (n, m, t), trace in sorted(traces.items()):
-                    for s in trace.steps:
-                        w.writerow([n, m, t, s.r, s.lut_address,
-                                    s.lut_output, s.accumulator_after])
+                w.writerows(np.stack([c.ravel() for c in columns], axis=1)
+                            .tolist())
     if args.json:
         print(json.dumps(report, indent=2))
     else:

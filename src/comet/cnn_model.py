@@ -143,11 +143,24 @@ class InferResult:
 
 
 def _check_weights(model: ModelSpec, weights) -> None:
+    """Reject bad shapes, values outside B2 bits, and any layer whose sums
+    could leave int64: |sum| <= patch_len * 2^(B1+B2-2) + 2^(B2-1)."""
+    fmt = FxpFormat(model.b2)
     for i, lay in enumerate(model.layers):
-        if lay.kind != "gap" and (
-                weights[i].weight.shape != lay.weight_shape
-                or weights[i].bias.shape != lay.out_shape[:1]):
+        if lay.kind == "gap":
+            continue
+        lw = weights[i]
+        if (lw.weight.shape != lay.weight_shape
+                or lw.bias.shape != lay.out_shape[:1]):
             raise ValueError(f"layer {i} weight/bias shape mismatch")
+        if any(a.size and (a.min() < fmt.min_value or a.max() > fmt.max_value)
+               for a in (lw.weight, lw.bias)):
+            raise ValueError(f"layer {i} weights or biases exceed the "
+                             f"{model.b2}-bit format")
+        if ((lay.patch_len << (model.b1 + model.b2 - 2))
+                + (1 << (model.b2 - 1)) >= 1 << 63):
+            raise ValueError(f"layer {i}: a {lay.patch_len}-long patch at "
+                             f"B1={model.b1}, B2={model.b2} can overflow int64")
 
 
 def _walk(model: ModelSpec, weights, x: np.ndarray, matmul) -> list:

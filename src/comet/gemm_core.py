@@ -2,13 +2,13 @@
 
 Matrix products are computed tile-by-tile through the offset-binary
 shift-accumulate datapath and must equal the direct integer GEMM oracle
-bit-exactly.  Two engines share that contract: a scalar reference engine
-built on :func:`comet.obc_ipc.ipc_obc`, which produces per-slice traces
-(`record=True`), and the default vectorized engine.  That is one kernel
-for both schemes (Scheme B swaps the coefficient and serial operands and
-transposes the result); it builds every tile's stored field tables
-(`comet.lut_arch.field_layout`) by one product and counts the table reads
-of every bit-slice of every serial operand with one bincount.
+bit-exactly.  One vectorized kernel serves both schemes (Scheme B swaps
+the coefficient and serial operands and transposes the result); it builds
+every tile's stored field tables (`comet.lut_arch.field_layout`) by one
+product and counts the table reads of every bit-slice of every serial
+operand with one bincount.  With `record` set, the same kernel also
+returns the per-slice trace that :func:`comet.obc_ipc.ipc_obc` gives for
+one tile, for every tile at once.
 """
 
 from dataclasses import dataclass
@@ -21,7 +21,9 @@ from .fxp import FxpFormat
 from .im2col_addr import LayerConfigWord
 from .lut_arch import HYBRID, KINDS, PARALLEL, field_entries, field_layout, \
     mirror_read, padded_layout
-from .obc_ipc import IpcProblem, Scheme, ipc_obc, piso_schedule  # noqa: F401
+from .obc_ipc import Scheme
+# unused here: bench/tracing.py patches these names on this module
+from .obc_ipc import IpcProblem, ipc_obc  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -96,9 +98,12 @@ def gemm_obc(theta: np.ndarray, xcols: np.ndarray, bias: np.ndarray,
     Each patch is cut into k_hw-wide tiles; every tile runs one
     shift-accumulate pass with its own offset initialization, and the
     doubled bias joins the last tile's offset only.  Returns
-    (Y, cycles, traces); traces is None unless `record` is set.
+    (Y, cycles, traces); traces is None unless `record` is set, and then
+    maps "address", "lut_output" and "accumulator" to int64 arrays of
+    shape (N, M, tiles, B_serial), LSB slice first.  Addresses are int64,
+    so recording needs k_hw <= 63.
 
-    Both engines accumulate in int64 in the doubled domain, where every
+    The kernel accumulates in int64 in the doubled domain, where every
     partial sum is bounded by patch_len * 2^(B1 + B2 - 1) + 2^B2 (each
     tile's offset and slices add at most 2^B_serial * sum|coefficients|,
     plus the doubled bias).  A call whose bound reaches 2^63 raises
@@ -124,46 +129,34 @@ def gemm_obc(theta: np.ndarray, xcols: np.ndarray, bias: np.ndarray,
         raise ValueError(f"a {patch_len}-long patch at B1={cfg.b1}, "
                          f"B2={cfg.b2} can overflow the int64 accumulator")
 
-    cycles = gemm_cycles(n_out, m_out, patch_len, cfg)
-    if record:
-        y, traces = _gemm_scalar(theta, xcols, bias, cfg, fmt_in, fmt_wt)
-        return y, cycles, traces
-    return _gemm_vectorized(theta, xcols, bias, cfg), cycles, None
+    if record and cfg.k_hw > 63:
+        raise ValueError(f"trace addresses are int64: recording needs "
+                         f"k_hw <= 63, got {cfg.k_hw}")
+    y, traces = _gemm_vectorized(theta, xcols, bias, cfg, record)
+    return y, gemm_cycles(n_out, m_out, patch_len, cfg), traces
 
 
-def _gemm_scalar(theta, xcols, bias, cfg, fmt_in, fmt_wt):
-    """Reference engine: one ipc_obc call per (row, column, tile)."""
-    w_rows = _tiled(theta, cfg.k_hw).tolist()
-    x_rows = _tiled(xcols.T, cfg.k_hw).tolist()
-    y = np.zeros((len(w_rows), len(x_rows)), dtype=np.int64)
-    traces = {}
-    for n, w_tiles in enumerate(w_rows):
-        last = len(w_tiles) - 1
-        for m, x_tiles in enumerate(x_rows):
-            for t, (w_tile, x_tile) in enumerate(zip(w_tiles, x_tiles)):
-                tile_bias = int(bias[n]) if t == last else 0
-                prob = IpcProblem.from_vectors(
-                    w_tile, x_tile, tile_bias, cfg.scheme, fmt_in, fmt_wt)
-                res, traces[(n, m, t)] = ipc_obc(prob, cfg.arch, record=True)
-                y[n, m] += res
-    return y, traces
-
-
-def _gemm_vectorized(theta, xcols, bias, cfg):
-    """Vectorized engine: one table kernel for both schemes."""
+def _gemm_vectorized(theta, xcols, bias, cfg, record):
+    """One table kernel for both schemes; Scheme B swaps the operands."""
     kq, q = padded_layout(cfg.k_hw)
     # naive stays on the parallel layout: a dense 2^k_hw table per column
     # would not fit in memory for Scheme B
     kind = PARALLEL if cfg.arch == "naive" else cfg.arch
     fields = tuple(field_layout(kind, kq, q))
     w_rows, x_rows = (_tiled(rows, cfg.k_hw, kq) for rows in (theta, xcols.T))
+    k_hw = cfg.k_hw if record else None
     if cfg.scheme is Scheme.A:
-        y2 = _obc_kernel(w_rows, x_rows, cfg.b1, fields)
+        y2, trace = _obc_kernel(w_rows, x_rows, cfg.b1, fields, k_hw)
     else:
-        y2 = _obc_kernel(x_rows, w_rows, cfg.b2, fields).T
+        y2, trace = _obc_kernel(x_rows, w_rows, cfg.b2, fields, k_hw)
+        y2 = y2.T
+        if record:
+            trace = {k: v.transpose(1, 0, 2, 3) for k, v in trace.items()}
     y2 = y2 + 2 * bias[:, None]
     assert not np.any(y2 & 1), "doubled-domain result must be even"
-    return y2 >> 1
+    if record:                  # a zero-length patch has no last tile
+        trace["accumulator"][:, :, -1:] += 2 * bias[:, None, None, None]
+    return y2 >> 1, trace
 
 
 @cache
@@ -183,7 +176,7 @@ def _layout_constants(fields, kq):
     return consts
 
 
-def _obc_kernel(coef, serial, b, fields):
+def _obc_kernel(coef, serial, b, fields, k_hw=None):
     """Doubled products 2 * sum(coef[p] * serial[q]) over all tiles: (P, Q).
 
     The (P, tiles, kq) coef rows fill their stored field tables by one
@@ -196,8 +189,15 @@ def _obc_kernel(coef, serial, b, fields):
     coefficients of at most 32 bits, so it stays below 2^35 < 2^53, and a
     bin only collects the b slices of one (row, tile, field), so its
     magnitude stays below 2^b <= 2^32.
+
+    Returns (products, trace).  The trace is None unless `k_hw` (the
+    unpadded tile width, at most 63) is given; then it holds int64 arrays
+    of shape (P, Q, tiles, b), LSB slice first: each tile's k_hw-bit PISO
+    `address`, the table's `lut_output` and the `accumulator` after the
+    slice, started at -sum(coef) of the tile.
     """
-    _, tiles, kq = coef.shape
+    n_coef, tiles, kq = coef.shape
+    n_serial = len(serial)
     signs, place, width, mirrored, offset = _layout_constants(fields, kq)
     stored = tiles * signs.shape[1]         # stored entries per row
     tables = (coef.reshape(-1, kq) @ signs).astype(np.int64)
@@ -208,10 +208,24 @@ def _obc_kernel(coef, serial, b, fields):
     # fields are at most 4 bits wide: exact in float32 and in int8
     f = (bits @ place).astype(np.int8)
     index, sign = mirror_read(f, width, mirrored)
-    bins = len(serial) * stored
+    bins = n_serial * stored
     index = index + offset + np.arange(0, bins, signs.shape[1])[:, None, None]
     weight = np.append(2.0 ** np.arange(b - 1), -2.0 ** (b - 1))
     reads = np.bincount(index.ravel(), (sign * weight[:, None]).ravel(), bins)
-    return -coef.sum(axis=(1, 2))[:, None] + np.einsum(
-        "ps,qs->pq", tables.reshape(len(coef), stored),
-        reads.astype(np.int64).reshape(len(serial), stored))
+    y2 = -coef.sum(axis=(1, 2))[:, None] + np.einsum(
+        "ps,qs->pq", tables.reshape(n_coef, stored),
+        reads.astype(np.int64).reshape(n_serial, stored))
+    if k_hw is None:
+        return y2, None
+    shape = (n_serial, tiles, b)
+    address = bits[..., :k_hw] @ (1 << np.arange(k_hw - 1, -1, -1))
+    # each read's entry within its own row's tables, gathered for every p
+    local = index.reshape(*shape, len(fields)) \
+        - (np.arange(n_serial) * stored)[:, None, None, None]
+    lut_output = (tables.reshape(n_coef, stored)[:, local]
+                  * sign.reshape(*shape, len(fields))).sum(axis=-1)
+    accumulator = np.cumsum(lut_output * weight.astype(np.int64), axis=-1) \
+        - coef.sum(axis=2)[:, None, :, None]
+    return y2, {"address": np.broadcast_to(address.reshape(shape),
+                                           (n_coef, *shape)),
+                "lut_output": lut_output, "accumulator": accumulator}

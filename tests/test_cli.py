@@ -167,19 +167,27 @@ def test_infer_rejects_bad_bundle(capsys, tmp_path, bad):
 
 
 def test_infer_trace_dump(capsys, tmp_path):
-    p = tmp_path / "x.cbt"
-    write_cbt(np.zeros((1, 4, 4), dtype=np.int8), p)
-    # full trace on the real model is huge; just check the flag wiring
-    # with the small generated input on the standard model
     out_dir = tmp_path / "traces"
     code, out, _ = run(capsys, "infer", "--json",
                        "--dump-trace", str(out_dir))
     assert code == EXIT_OK
-    files = sorted(out_dir.glob("layer*.csv"))
-    assert len(files) == 6  # four convs + two dense layers
-    head = files[0].read_text().splitlines()
-    assert head[0] == "n,m,tile,slice_r,address,lut_output,accumulator"
-    assert len(head) > 1
+    files = [out_dir / f"layer{i}.csv" for i in range(6)]
+    assert sorted(out_dir.glob("layer*.csv")) == files  # 4 convs + 2 dense
+    gemm_layers = [lay for lay in build_modified_lenet5().layers
+                   if lay.kind != "gap"]
+    for path, lay in zip(files, gemm_layers):
+        lines = path.read_text().splitlines()
+        assert lines[0] == "n,m,tile,slice_r,address,lut_output,accumulator"
+        # one row per (n, m, tile, slice) at k_hw 16 and B1 = 8
+        n, m = lay.out_shape[0], int(np.prod(lay.out_shape[1:]))
+        assert len(lines) - 1 == n * m * -(-lay.patch_len // 16) * 8
+
+
+def test_infer_trace_rejects_addresses_past_int64(capsys, tmp_path):
+    code, _, err = run(capsys, "infer", "--k-hw", "64",
+                       "--dump-trace", str(tmp_path / "traces"))
+    assert code == EXIT_USAGE
+    assert err.startswith("error:") and "63" in err
 
 
 # -- addrgen --------------------------------------------------------------

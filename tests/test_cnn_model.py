@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from comet.cnn_model import (
     LayerSpec,
@@ -13,11 +14,13 @@ from comet.cnn_model import (
     model_cycles,
     requantize,
     _gap,
+    _walk,
 )
-from comet.gemm_core import GemmConfig
+from comet.gemm_core import GemmConfig, gemm_oracle, im2col
 from comet.im2col_addr import LayerConfigWord
 from comet.obc_ipc import Scheme
-from comet.tensor_io import LayerWeights, WeightBundle, gen_input, gen_weights
+from comet.tensor_io import LayerWeights, SplitMix64, WeightBundle, \
+    gen_input, gen_weights
 
 CFG = GemmConfig(k_hw=16, l=10, scheme=Scheme.A, arch="hybrid", b1=8, b2=8)
 
@@ -215,3 +218,88 @@ def test_custom_model_spec():
     res = infer(model, w, x, CFG)
     assert res.logits == infer_oracle(model, w, x)
     assert len(res.logits) == 2
+
+
+def test_oracle_rejects_sums_past_int64():
+    """36 products of (-2^31)^2 sum to 36 * 2^62: int64 wrapped this to 0."""
+    lo = -(1 << 31)
+    cfg = LayerConfigWord(c=4, kh=3, kw=3, s=1, p=0, n=1, b=32, h=3, w=3)
+    model = ModelSpec((LayerSpec("conv", cfg=cfg, act="relu", shift=40),
+                       LayerSpec("gap"),
+                       LayerSpec("fc", in_features=1, out_features=1)), 32, 32)
+    zero = np.zeros(1, dtype=np.int64)
+    weights = {0: LayerWeights(np.full((1, 4, 3, 3), lo), zero, 40),
+               2: LayerWeights(np.ones((1, 1), dtype=np.int64), zero, 0)}
+    x = np.full((4, 3, 3), lo)
+    for run in (lambda *args: infer(*args, CFG), infer_oracle):
+        with pytest.raises(ValueError, match="overflow"):
+            run(model, weights, x)   # the exact logit is 150994944
+
+
+@st.composite
+def _small_models(draw):
+    """1-3 convolutions, gap and a dense layer, with weights and an input."""
+    widths = st.one_of(st.sampled_from([2, 31, 32]), st.integers(2, 32))
+    b1, b2 = draw(widths), draw(widths)
+    c, h, w = (draw(st.integers(1, 3)), draw(st.integers(1, 6)),
+               draw(st.integers(1, 6)))
+    shape, layers = (c, h, w), []
+    for _ in range(draw(st.integers(1, 3))):
+        p, s = draw(st.integers(0, 1)), draw(st.integers(1, 2))
+        k = draw(st.integers(1, min(4, h + p, w + p)))
+        cfg = LayerConfigWord(c=c, kh=k, kw=k, s=s, p=p,
+                              n=draw(st.integers(1, 3)), b=b1, h=h, w=w)
+        layers.append(LayerSpec("conv", cfg=cfg, act="relu",
+                                shift=draw(st.integers(0, b2 + 4))))
+        c, h, w = cfg.n, cfg.h_out, cfg.w_out
+    layers += [LayerSpec("gap"),
+               LayerSpec("fc", in_features=c, out_features=draw(
+                   st.integers(1, 3)), shift=draw(st.integers(0, b2)))]
+    model = ModelSpec(tuple(layers), b1, b2)
+    # random values, or every value at the format minimum
+    rng, extreme = SplitMix64(draw(st.integers(0, 2 ** 32 - 1))), \
+        draw(st.booleans())
+
+    def fill(shape, bits):
+        return np.full(shape, -(1 << (bits - 1))) if extreme \
+            else rng.fill(shape, bits)
+
+    weights = {i: LayerWeights(fill(lay.weight_shape, b2),
+                               fill(lay.out_shape[:1], b2), lay.shift)
+               for i, lay in enumerate(layers) if lay.kind != "gap"}
+    return model, weights, fill(shape, b1)
+
+
+def _exact_logits(model, weights, x) -> list[int]:
+    """The oracle's arithmetic on Python integers (gemm_oracle); requantize
+    raises OverflowError on an accumulator past int64."""
+    def matmul(lay, act, w, b):
+        cols = im2col(act, lay.cfg) if lay.kind == "conv" \
+            else act.reshape(-1, 1)
+        return gemm_oracle(w.reshape(len(w), -1), cols, b) \
+            .reshape(lay.out_shape)
+
+    return [int(v) for v in _walk(model, weights, x, matmul)[-1]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_models(), st.integers(1, 20), st.integers(1, 3),
+       st.sampled_from([Scheme.A, Scheme.B]),
+       st.sampled_from(["parallel", "shared", "split", "hybrid", "naive"]))
+def test_infer_equals_oracle_or_both_reject(case, k_hw, lanes, scheme, arch):
+    """The oracle never wraps: it is exact and equals infer, or it rejects
+    and so does infer (whose doubled accumulator may reject a layer the
+    oracle takes)."""
+    model, weights, x = case
+    cfg = GemmConfig(k_hw=k_hw, l=lanes, scheme=scheme, arch=arch)
+    try:
+        got = infer(model, weights, x, cfg).logits
+    except ValueError:
+        got = None
+    try:
+        want = infer_oracle(model, weights, x)
+    except ValueError:
+        assert got is None
+        return
+    assert want == _exact_logits(model, weights, x)
+    assert got in (None, want)

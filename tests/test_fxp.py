@@ -1,10 +1,21 @@
-"""Fixed-point formats, bit slicing, and offset-binary digit recoding."""
+"""Fixed-point formats, two's-complement bit slicing, and the doubled domain.
+
+Bit slicing is `piso_schedule`'s: a single operand's per-slice addresses
+are its bits, LSB first.
+"""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from comet.fxp import FxpFormat, bit_slice, from_bits, obc_delta, \
-    quantize_saturate
+from comet.fxp import FxpFormat
+from comet.obc_ipc import build_naive_lut, piso_schedule, sa_run
+
+
+def _from_slices(slices: list[int]) -> int:
+    """Reassemble an integer from LSB-first two's-complement bits."""
+    b = len(slices)
+    return sum(s << r for r, s in enumerate(slices[:-1])) \
+        - (slices[-1] << (b - 1))
 
 
 def test_format_range():
@@ -21,64 +32,38 @@ def test_format_rejects_bad_width(bits):
         FxpFormat(bits)
 
 
-def test_quantize_saturate_clamps():
-    fmt = FxpFormat(4)  # [-8, 7]
-    assert quantize_saturate(100, fmt) == 7
-    assert quantize_saturate(-100, fmt) == -8
-    assert quantize_saturate(5, fmt) == 5
-    assert quantize_saturate(-8, fmt) == -8
-
-
 def test_bit_slice_examples():
-    fmt = FxpFormat(4)
-    assert bit_slice(5, fmt) == [0, 1, 0, 1]
-    assert bit_slice(-3, fmt) == [1, 1, 0, 1]   # two's complement 1101
-    assert bit_slice(-8, fmt) == [1, 0, 0, 0]
-    assert bit_slice(7, fmt) == [0, 1, 1, 1]
+    assert piso_schedule([5], 4) == [1, 0, 1, 0]
+    assert piso_schedule([-3], 4) == [1, 0, 1, 1]   # two's complement 1101
+    assert piso_schedule([-8], 4) == [0, 0, 0, 1]
+    assert piso_schedule([7], 4) == [1, 1, 1, 0]
 
 
 def test_bit_slice_rejects_out_of_range():
     with pytest.raises(ValueError):
-        bit_slice(8, FxpFormat(4))
+        piso_schedule([8], 4)
     with pytest.raises(ValueError):
-        bit_slice(-9, FxpFormat(4))
+        piso_schedule([-9], 4)
 
 
 @pytest.mark.parametrize("bits", range(2, 11))
 def test_round_trip_exhaustive(bits):
     fmt = FxpFormat(bits)
     for v in range(fmt.min_value, fmt.max_value + 1):
-        assert from_bits(bit_slice(v, fmt)) == v
+        assert _from_slices(piso_schedule([v], bits)) == v
 
 
 @given(st.integers(min_value=2, max_value=32), st.data())
 def test_round_trip_property(bits, data):
     fmt = FxpFormat(bits)
     v = data.draw(st.integers(fmt.min_value, fmt.max_value))
-    assert from_bits(bit_slice(v, fmt)) == v
+    assert _from_slices(piso_schedule([v], bits)) == v
 
 
-def test_obc_delta_sign_slice_negates():
-    assert obc_delta([1, 0], 0, 4) == [-1, 1]
-    assert obc_delta([1, 0], 1, 4) == [1, -1]
-    assert obc_delta([1, 1, 0], 3, 4) == [1, 1, -1]
-
-
-def test_obc_delta_rejects_bad_slice_index():
-    with pytest.raises(ValueError):
-        obc_delta([0], 4, 4)
-    with pytest.raises(ValueError):
-        obc_delta([0], -1, 4)
-
-
-@given(st.integers(min_value=2, max_value=16), st.data())
+@given(st.integers(min_value=2, max_value=32), st.data())
 def test_doubled_domain_identity(bits, data):
-    """sum_r delta_r * 2^(B-1-r) equals 2v + 1 for every representable v."""
+    """Shift-accumulating the digits 2b - 1 (the one-coefficient table)
+    from -1, with the sign slice negated, gives 2v."""
     fmt = FxpFormat(bits)
     v = data.draw(st.integers(fmt.min_value, fmt.max_value))
-    slices = bit_slice(v, fmt)
-    total = 0
-    for r in range(bits):
-        (d,) = obc_delta([slices[r]], r, bits)
-        total += d << (bits - 1 - r)
-    assert total == 2 * v + 1
+    assert sa_run(build_naive_lut([1]), [v], bits, -1, record=False)[0] == v

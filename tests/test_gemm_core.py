@@ -11,11 +11,11 @@ from comet.gemm_core import (
     gemm_obc,
     gemm_oracle,
     im2col,
-    piso_schedule,
 )
+from comet.fxp import FxpFormat
 from comet.im2col_addr import LayerConfigWord
 from comet.lut_arch import PreparedLut, field_layout, padded_layout
-from comet.obc_ipc import Scheme
+from comet.obc_ipc import IpcProblem, Scheme, ipc_obc, piso_schedule
 from comet.tensor_io import SplitMix64
 
 ARCHS = ("parallel", "shared", "split", "hybrid", "naive")
@@ -134,19 +134,35 @@ def test_gemm_matches_oracle(scheme, arch):
 @pytest.mark.parametrize("scheme", [Scheme.A, Scheme.B])
 @pytest.mark.parametrize("arch", ARCHS)
 def test_scalar_and_vectorized_engines_agree(scheme, arch):
-    theta = _rand((3, 10), 6, seed=21)
-    x = _rand((10, 4), 6, seed=22)
-    bias = _rand((3,), 6, seed=23)
-    cfg = GemmConfig(k_hw=4, l=2, scheme=scheme, arch=arch, b1=6, b2=6)
-    y_vec, _, tr = gemm_obc(theta, x, bias, cfg)
-    assert tr is None
-    y_ref, _, traces = gemm_obc(theta, x, bias, cfg, record=True)
-    assert (y_vec == y_ref).all()
-    assert traces is not None
-    b = cfg.serial_bits
-    assert all(t.cycles == b for t in traces.values())
-    # one trace per (row, column, tile)
-    assert len(traces) == 3 * 4 * 3
+    """Every (n, m, tile) slice of the recorded trace is the scalar
+    reference's: ipc_obc on that tile, the bias joining the last tile."""
+    b1, b2 = 6, 5
+    theta = _rand((3, 10), b2, seed=21)
+    x = _rand((10, 4), b1, seed=22)
+    bias = _rand((3,), b2, seed=23)
+    for k_hw in (3, 4, 12):     # tail tiles, and a tile wider than the patch
+        cfg = GemmConfig(k_hw=k_hw, l=2, scheme=scheme, arch=arch,
+                         b1=b1, b2=b2)
+        y_vec, _, none = gemm_obc(theta, x, bias, cfg)
+        y, _, tr = gemm_obc(theta, x, bias, cfg, record=True)
+        assert none is None and (y == y_vec).all()
+        tiles = -(-10 // k_hw)
+        assert all(a.shape == (3, 4, tiles, cfg.serial_bits)
+                   for a in tr.values())
+        assert (tr["accumulator"][..., -1].sum(axis=2) // 2 == y).all()
+        w_tiles, x_tiles = (
+            np.pad(a, ((0, 0), (0, tiles * k_hw - 10))).reshape(-1, tiles, k_hw)
+            for a in (theta, x.T))
+        for n, m, t in np.ndindex(3, 4, tiles):
+            prob = IpcProblem.from_vectors(
+                w_tiles[n, t].tolist(), x_tiles[m, t].tolist(),
+                int(bias[n]) if t == tiles - 1 else 0, scheme,
+                FxpFormat(b1), FxpFormat(b2))
+            _, ref = ipc_obc(prob, arch, record=True)
+            got = zip(*(tr[k][n, m, t].tolist()
+                        for k in ("address", "lut_output", "accumulator")))
+            assert list(got) == [(s.lut_address, s.lut_output,
+                                  s.accumulator_after) for s in ref.steps]
 
 
 @pytest.mark.parametrize("scheme", [Scheme.A, Scheme.B])
@@ -176,14 +192,19 @@ def test_gemm_at_largest_slice_weight(scheme, arch):
 
 
 @pytest.mark.parametrize("scheme", [Scheme.A, Scheme.B])
-@pytest.mark.parametrize("n, m", [(0, 3), (2, 0)])
+@pytest.mark.parametrize("n, m", [(0, 3), (2, 0), (2, 3)])
 def test_gemm_empty_rows_or_columns(scheme, n, m):
-    theta, x = _rand((n, 5), 8, seed=71), _rand((5, m), 8, seed=72)
     bias = _rand((n,), 8, seed=73)
     cfg = GemmConfig(k_hw=4, l=1, scheme=scheme, arch="hybrid")
-    for record in (False, True):
-        y, _, _ = gemm_obc(theta, x, bias, cfg, record=record)
-        assert y.shape == (n, m)
+    for k in (5, 0):            # a zero-length patch leaves only the bias
+        theta, x = _rand((n, k), 8, seed=71), _rand((k, m), 8, seed=72)
+        for record in (False, True):
+            y, _, tr = gemm_obc(theta, x, bias, cfg, record=record)
+            assert y.shape == (n, m)
+            assert k or (y == bias[:, None]).all()
+            if record:
+                assert all(a.shape == (n, m, -(-k // 4), 8)
+                           for a in tr.values())
 
 
 def test_gemm_mixed_widths():
@@ -212,15 +233,11 @@ def test_bias_joins_last_tile_only():
     x = _rand((8, 2), 8, seed=52)
     bias = np.array([37, -19])
     cfg = GemmConfig(k_hw=4, l=1, scheme=Scheme.A, arch="naive")
-    _, _, traces = gemm_obc(theta, x, bias, cfg, record=True)
-    for (n, m, t), trace in traces.items():
-        # reconstruct this tile's accumulator start from its first step
-        first = trace.steps[0]
-        shift0 = 0  # LSB slice contributes lut << 0
-        init = first.accumulator_after - (first.lut_output << shift0)
-        coeffs = theta[n, t * 4:(t + 1) * 4]
-        expected = -int(coeffs.sum()) + (2 * int(bias[n]) if t == 1 else 0)
-        assert init == expected
+    _, _, tr = gemm_obc(theta, x, bias, cfg, record=True)
+    # each (n, m, tile) accumulator's start: the LSB slice adds lut << 0
+    init = tr["accumulator"][..., 0] - tr["lut_output"][..., 0]
+    expected = -theta.reshape(2, 2, 4).sum(axis=2) + np.outer(2 * bias, [0, 1])
+    assert (init == expected[:, None, :]).all()
 
 
 def test_gemm_oracle_exact_past_int64():
@@ -238,6 +255,9 @@ def test_gemm_validation():
         gemm_obc(np.zeros((2, 3)), np.zeros((3, 2)), np.zeros(3), cfg)
     with pytest.raises(ValueError):
         gemm_obc(np.full((2, 3), 200), np.zeros((3, 2)), np.zeros(2), cfg)
+    with pytest.raises(ValueError, match="k_hw <= 63"):
+        gemm_obc(np.zeros((2, 3)), np.zeros((3, 2)), np.zeros(2),
+                 GemmConfig(k_hw=64), record=True)
     with pytest.raises(ValueError):
         GemmConfig(k_hw=0)
     with pytest.raises(ValueError):
