@@ -110,11 +110,17 @@ def build_modified_lenet5(b1: int = 8, b2: int = 8) -> ModelSpec:
 
 
 def requantize(acc: np.ndarray, shift: int, b1: int) -> np.ndarray:
-    """Right-shift with round-half-away-from-zero, then saturate to B1."""
+    """Right-shift with round-half-away-from-zero, then saturate to B1.
+
+    Exact for every shift in 0..63 (others raise ValueError): the rounding
+    half joins after all but one of the dropped bits are gone, and the
+    magnitude is unsigned, so nothing overflows."""
+    if not 0 <= shift <= 63:
+        raise ValueError(f"requantize shift {shift} outside 0..63")
     acc = np.asarray(acc, dtype=np.int64)
     if shift > 0:
-        mag = (np.abs(acc) + (1 << (shift - 1))) >> shift
-        acc = np.sign(acc) * mag
+        mag = ((np.abs(acc).astype(np.uint64) >> (shift - 1)) + 1) >> 1
+        acc = np.sign(acc) * mag.astype(np.int64)
     fmt = FxpFormat(b1)
     return np.clip(acc, fmt.min_value, fmt.max_value)
 

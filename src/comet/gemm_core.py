@@ -5,8 +5,8 @@ shift-accumulate datapath and must equal the direct integer GEMM oracle
 bit-exactly.  One vectorized kernel serves both schemes (Scheme B swaps
 the coefficient and serial operands and transposes the result); it builds
 every tile's stored field tables (`comet.lut_arch.field_layout`) by one
-product and counts the table reads of every bit-slice of every serial
-operand with one bincount.  With `record` set, the same kernel also
+product and counts the table reads of all bit-slices of a serial operand
+at once, with one bit mask per field value.  With `record` set, it also
 returns the per-slice trace that :func:`comet.obc_ipc.ipc_obc` gives for
 one tile, for every tile at once.
 """
@@ -119,12 +119,11 @@ def gemm_obc(theta: np.ndarray, xcols: np.ndarray, bias: np.ndarray,
     if bias.shape != (n_out,):
         raise ValueError("bias must have one entry per output row")
     fmt_in, fmt_wt = FxpFormat(cfg.b1), FxpFormat(cfg.b2)
-    if theta.size and not (theta.min() >= fmt_wt.min_value
-                           and theta.max() <= fmt_wt.max_value):
-        raise ValueError(f"weights exceed the {cfg.b2}-bit format")
-    if xcols.size and not (xcols.min() >= fmt_in.min_value
-                           and xcols.max() <= fmt_in.max_value):
-        raise ValueError(f"inputs exceed the {cfg.b1}-bit format")
+    for a, fmt, what in ((theta, fmt_wt, "weights"), (bias, fmt_wt, "biases"),
+                         (xcols, fmt_in, "inputs")):
+        if a.size and not (a.min() >= fmt.min_value
+                           and a.max() <= fmt.max_value):
+            raise ValueError(f"{what} exceed the {fmt.bits}-bit format")
     if (patch_len << (cfg.b1 + cfg.b2 - 1)) + (1 << cfg.b2) >= 1 << 63:
         raise ValueError(f"a {patch_len}-long patch at B1={cfg.b1}, "
                          f"B2={cfg.b2} can overflow the int64 accumulator")
@@ -162,15 +161,22 @@ def _gemm_vectorized(theta, xcols, bias, cfg, record):
 @cache
 def _layout_constants(fields, kq):
     """Per-layout sign matrix (`field_entries` over unit coefficients),
-    bit place values, field widths, mirror flags and offsets; read-only."""
+    fold (field value x stored entry: +-1 where `mirror_read` sends the
+    value) and mask literals (per field operand, MSB first, a column of
+    [~u, u]); field values run field by field, ascending.  Read-only."""
     unit = list(np.eye(kq))
     entries = [field_entries(unit[s:s + w], m) for s, w, m in fields]
-    place = np.zeros((kq, len(fields)), dtype=np.float32)
-    for i, (s, w, _) in enumerate(fields):
-        place[s:s + w, i] = 2.0 ** np.arange(w - 1, -1, -1)
-    _, width, mirrored = (np.array(v, dtype=np.int8) for v in zip(*fields))
-    consts = (np.stack(sum(entries, []), axis=1), place, width, mirrored,
-              np.cumsum([0] + [len(e) for e in entries[:-1]]))
+    offset = np.cumsum([0] + [len(e) for e in entries])
+    f, start, w, m, first = (np.array(a) for a in zip(*(
+        (v, s, w, m, o) for (s, w, m), o in zip(fields, offset)
+        for v in range(1 << w))))
+    index, sign = mirror_read(f, w, m)
+    fold = np.zeros((len(f), offset[-1]))
+    fold[np.arange(len(f)), first + index] = sign
+    # a narrower field repeats its last operand: AND ignores the repeat
+    j = np.minimum(np.arange(w.max()), w[:, None] - 1)
+    lit = start[:, None] + j + kq * (f[:, None] >> (w[:, None] - 1 - j) & 1)
+    consts = (np.stack(sum(entries, []), axis=1), fold, lit.T)
     for a in consts:
         a.flags.writeable = False
     return consts
@@ -181,50 +187,56 @@ def _obc_kernel(coef, serial, b, fields, k_hw=None):
 
     The (P, tiles, kq) coef rows fill their stored field tables by one
     product with the layout's sign matrix.  The (Q, tiles, kq) serial rows
-    are bit-sliced LSB first over `b` cycles (the sign slice weighs
-    negative); one bincount sums the reads' signed slice weights per (row,
-    tile, stored entry), and one int64 product with the tables sums them.
+    are b-bit patterns u, sliced LSB first, the sign slice weighing
+    negative.  The AND over a field's operands of u or ~u is, per field
+    value, a mask whose bit s is set exactly where slice s reads that
+    value.  In a pattern every bit from b-1 up copies the sign slice, and
+    AND and NOT keep that, so a mask read as a signed integer of its
+    container is the b-bit two's-complement value's signed read count:
+    the sum of +-2^s over its slices.  The fold sends every count to its
+    stored entry, negated for a mirrored read, and one int64 product with
+    the tables sums the reads.
 
-    Both float64 steps are exact: a stored entry sums at most q <= 4
+    The float64 steps are exact: a stored entry sums at most q <= 4
     coefficients of at most 32 bits, so it stays below 2^35 < 2^53, and a
-    bin only collects the b slices of one (row, tile, field), so its
-    magnitude stays below 2^b <= 2^32.
+    read count has magnitude at most 2^(b-1) <= 2^31, of which the fold
+    adds at most two (a value and its mirror).  The int64 product is exact
+    under the doubled-domain bound that `gemm_obc` checks.
 
     Returns (products, trace).  The trace is None unless `k_hw` (the
     unpadded tile width, at most 63) is given; then it holds int64 arrays
     of shape (P, Q, tiles, b), LSB slice first: each tile's k_hw-bit PISO
-    `address`, the table's `lut_output` and the `accumulator` after the
-    slice, started at -sum(coef) of the tile.
+    `address`, the `lut_output` read through the mask bits from the full
+    tables `tables @ fold.T`, and the `accumulator` after the slice,
+    started at -sum(coef) of the tile.
     """
     n_coef, tiles, kq = coef.shape
     n_serial = len(serial)
-    signs, place, width, mirrored, offset = _layout_constants(fields, kq)
+    signs, fold, lit = _layout_constants(fields, kq)
     stored = tiles * signs.shape[1]         # stored entries per row
     tables = (coef.reshape(-1, kq) @ signs).astype(np.int64)
-    # (Q * tiles, b, kq) bits from only the bytes that b needs
-    data = serial.astype(f"<u{(1, 2, 4, 4)[(b - 1) // 8]}")[..., None]
-    bits = np.unpackbits(data.view(np.uint8).swapaxes(-1, -2), axis=-2,
-                         count=b, bitorder="little").reshape(-1, b, kq)
-    # fields are at most 4 bits wide: exact in float32 and in int8
-    f = (bits @ place).astype(np.int8)
-    index, sign = mirror_read(f, width, mirrored)
-    bins = n_serial * stored
-    index = index + offset + np.arange(0, bins, signs.shape[1])[:, None, None]
-    weight = np.append(2.0 ** np.arange(b - 1), -2.0 ** (b - 1))
-    reads = np.bincount(index.ravel(), (sign * weight[:, None]).ravel(), bins)
+    # (Q * tiles, kq) patterns in only the bytes that b needs
+    u = serial.astype(f"<u{(1, 2, 4, 4)[(b - 1) // 8]}").reshape(-1, kq)
+    lits = np.concatenate((~u, u), axis=1)
+    masks = lits[:, lit[0]]
+    for c in lit[1:]:
+        masks &= lits[:, c]
+    reads = (masks.view(f"<i{u.itemsize}") @ fold).astype(np.int64)
     y2 = -coef.sum(axis=(1, 2))[:, None] + np.einsum(
         "ps,qs->pq", tables.reshape(n_coef, stored),
-        reads.astype(np.int64).reshape(n_serial, stored))
+        reads.reshape(n_serial, stored))
     if k_hw is None:
         return y2, None
     shape = (n_serial, tiles, b)
+    # (Q, tiles, b, kq + values): the pattern bits, then the mask bits
+    bits = np.unpackbits(np.concatenate((u, masks), axis=1)[..., None]
+                         .view(np.uint8).swapaxes(-1, -2), axis=-2, count=b,
+                         bitorder="little").reshape(*shape, kq + len(fold))
     address = bits[..., :k_hw] @ (1 << np.arange(k_hw - 1, -1, -1))
-    # each read's entry within its own row's tables, gathered for every p
-    local = index.reshape(*shape, len(fields)) \
-        - (np.arange(n_serial) * stored)[:, None, None, None]
-    lut_output = (tables.reshape(n_coef, stored)[:, local]
-                  * sign.reshape(*shape, len(fields))).sum(axis=-1)
-    accumulator = np.cumsum(lut_output * weight.astype(np.int64), axis=-1) \
+    full = (tables @ fold.T).astype(np.int64).reshape(n_coef, tiles, len(fold))
+    lut_output = np.einsum("ptv,qtsv->pqts", full, bits[..., kq:])
+    weight = np.append(1 << np.arange(b - 1), -(1 << (b - 1)))
+    accumulator = np.cumsum(lut_output * weight, axis=-1) \
         - coef.sum(axis=2)[:, None, :, None]
     return y2, {"address": np.broadcast_to(address.reshape(shape),
                                            (n_coef, *shape)),

@@ -194,8 +194,8 @@ def load_weight_bundle(directory) -> WeightBundle:
     """Read a bundle written by save_weight_bundle.
 
     Raises BundleError when the manifest is not JSON, lacks `layers` or a
-    layer's `weight`/`bias`/`shift`, or names a file that is not a string
-    or resolves outside the bundle directory.
+    layer's `weight`/`bias`/`shift`, has a shift outside 0..63, or names a
+    file that is not a string or resolves outside the bundle directory.
     """
     directory = Path(directory).resolve()
     text = (directory / "manifest.json").read_text()
@@ -204,6 +204,8 @@ def load_weight_bundle(directory) -> WeightBundle:
                    for key, e in json.loads(text)["layers"].items()}
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise BundleError(f"malformed manifest.json: {exc!r}") from exc
+    if any(not 0 <= shift <= 63 for _, _, shift in entries.values()):
+        raise BundleError("manifest has a shift outside 0..63")
 
     def tensor(name):
         if not isinstance(name, str):

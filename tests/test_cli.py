@@ -148,7 +148,7 @@ def test_infer_missing_input_file(capsys, tmp_path):
     assert "error" in err
 
 
-@pytest.mark.parametrize("bad", ["outside", "not json"])
+@pytest.mark.parametrize("bad", ["outside", "not json", "shift 64"])
 def test_infer_rejects_bad_bundle(capsys, tmp_path, bad):
     model = build_modified_lenet5()
     save_weight_bundle(gen_weights(42, model, 8), model, tmp_path / "w")
@@ -158,6 +158,10 @@ def test_infer_rejects_bad_bundle(capsys, tmp_path, bad):
         (tmp_path / "w" / "layer0.weight.cbt").rename(tmp_path / "w0.cbt")
         text = manifest.read_text().replace('"layer0.weight.cbt"',
                                             '"../w0.cbt"')
+    elif bad == "shift 64":
+        doc = json.loads(manifest.read_text())
+        doc["layers"]["0"]["shift"] = 64
+        text = json.dumps(doc)
     else:
         text = "{not json"
     manifest.write_text(text)

@@ -82,6 +82,22 @@ def test_requantize_round_half_away():
     assert requantize(np.array([40]), 3, 8)[0] == 5
 
 
+def test_requantize_exact_at_every_shift():
+    big = np.array([1 << 62, -(1 << 62), (1 << 63) - 1, -(1 << 63), 3, -3])
+    for shift in range(64):
+        want = [(abs(v) + (1 << shift >> 1)) >> shift for v in big.tolist()]
+        want = [w if v >= 0 else -w for v, w in zip(big.tolist(), want)]
+        assert requantize(big, shift, 32).tolist() \
+            == np.clip(want, -(1 << 31), (1 << 31) - 1).tolist(), shift
+    assert requantize(np.array([1 << 62]), 63, 8)[0] == 1     # 0.5 -> 1
+
+
+@pytest.mark.parametrize("shift", [-1, 64, 100])
+def test_requantize_rejects_shift_outside_0_63(shift):
+    with pytest.raises(ValueError, match="0..63"):
+        requantize(np.array([5]), shift, 8)
+
+
 def test_gap_rounded_mean():
     x = np.ones((2, 5, 5), dtype=np.int64)
     x[1] *= -3

@@ -15,7 +15,8 @@ from comet.gemm_core import (
 from comet.fxp import FxpFormat
 from comet.im2col_addr import LayerConfigWord
 from comet.lut_arch import PreparedLut, field_layout, padded_layout
-from comet.obc_ipc import IpcProblem, Scheme, ipc_obc, piso_schedule
+from comet.obc_ipc import IpcProblem, Scheme, build_naive_lut, ipc_obc, \
+    piso_schedule
 from comet.tensor_io import SplitMix64
 
 ARCHS = ("parallel", "shared", "split", "hybrid", "naive")
@@ -192,6 +193,46 @@ def test_gemm_at_largest_slice_weight(scheme, arch):
 
 
 @pytest.mark.parametrize("scheme", [Scheme.A, Scheme.B])
+@pytest.mark.parametrize("arch", ARCHS)
+def test_gemm_at_every_serial_width(scheme, arch):
+    """Serial widths 2..32, each with rows of -2^(b-1), -1 and 2^(b-1)-1
+    and a random row with both extremes mixed in: a mask bit above the
+    sign slice must never reach a read count."""
+    for b in range(2, 33):
+        other = max(2, 33 - b)          # coefficients as wide as fits
+        lo, hi = -(1 << (b - 1)), (1 << (b - 1)) - 1
+        serial = _rand((4, 11), b, seed=80 + b)
+        serial[:3] = np.array([lo, -1, hi])[:, None]
+        serial[3, ::4], serial[3, 1::4] = lo, hi
+        coef = _rand((3, 11), other, seed=120 + b)
+        if scheme is Scheme.A:
+            theta, x, b1, b2 = coef, serial.T, b, other
+        else:
+            theta, x, b1, b2 = serial, coef.T, other, b
+        bias = _rand((len(theta),), b2, seed=160 + b)
+        cfg = GemmConfig(k_hw=4, l=1, scheme=scheme, arch=arch, b1=b1, b2=b2)
+        y, _, _ = gemm_obc(theta, x, bias, cfg)
+        assert (y == gemm_oracle(theta, x, bias)).all(), b
+
+
+@pytest.mark.parametrize("kq", [4, 8, 16])
+@pytest.mark.parametrize("kind", ARCHS[:4])
+def test_fold_full_tables_are_the_naive_lut(kind, kq):
+    """`tables @ fold.T` holds every field value's signed read; summed
+    over the fields at an address, they give the naive table's entry."""
+    coeffs = _rand((kq,), 8, seed=90 + kq)
+    fields = field_layout(kind, *padded_layout(kq))
+    signs, fold, _ = _layout_constants(tuple(fields), kq)
+    full = (coeffs @ signs) @ fold.T
+    address = np.arange(1 << kq)
+    value, column = 0, 0
+    for start, w, _ in fields:
+        f = address >> (kq - start - w) & ((1 << w) - 1)
+        value, column = value + full[column + f], column + (1 << w)
+    assert value.tolist() == build_naive_lut(coeffs.tolist()).entries
+
+
+@pytest.mark.parametrize("scheme", [Scheme.A, Scheme.B])
 @pytest.mark.parametrize("n, m", [(0, 3), (2, 0), (2, 3)])
 def test_gemm_empty_rows_or_columns(scheme, n, m):
     bias = _rand((n,), 8, seed=73)
@@ -238,6 +279,14 @@ def test_bias_joins_last_tile_only():
     init = tr["accumulator"][..., 0] - tr["lut_output"][..., 0]
     expected = -theta.reshape(2, 2, 4).sum(axis=2) + np.outer(2 * bias, [0, 1])
     assert (init == expected[:, None, :]).all()
+
+
+def test_gemm_rejects_bias_outside_b2():
+    for bias, b2 in ((1 << 62, 8), (200, 8), (-129, 8), (1 << 31, 32)):
+        with pytest.raises(ValueError, match="biases"):
+            gemm_obc([[1]], [[1]], [bias], GemmConfig(b2=b2))
+    y, _, _ = gemm_obc([[1]], [[1]], [-128], GemmConfig())
+    assert y.tolist() == [[-127]]
 
 
 def test_gemm_oracle_exact_past_int64():

@@ -207,3 +207,12 @@ def test_bundle_rejects_malformed_manifest(tmp_path, drop):
     (tmp_path / "w" / "manifest.json").write_text(text)
     with pytest.raises(BundleError):
         load_weight_bundle(tmp_path / "w")
+
+
+@pytest.mark.parametrize("shift", [-1, 64])
+def test_bundle_rejects_shift_outside_0_63(tmp_path, shift):
+    manifest = _saved_manifest(tmp_path)
+    manifest["layers"]["0"]["shift"] = shift
+    (tmp_path / "w" / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(BundleError, match="shift"):
+        load_weight_bundle(tmp_path / "w")
