@@ -203,26 +203,15 @@ def cmd_addrgen(args) -> int:
     model = cnn_model.build_modified_lenet5()
     cfg = model.layers[idx].cfg
     x = tensor_io.gen_input(args.seed, (cfg.c, cfg.h, cfg.w), cfg.b)
-    xflat = x.reshape(-1)
-
-    ref = gemm_core.im2col(x, cfg)
-    rows = []
-    stream = []
-    per_pos = cfg.tiles(args.k_hw) * args.k_hw
-    for cycle, events in im2col_addr.run_layer(cfg, args.k_hw):
-        for ev in events:
-            rows.append({"cycle": cycle, "kind": ev.kind,
-                         "addr": ev.addr if ev.addr is not None else "",
-                         "level": ev.level if ev.level is not None else "",
-                         "group": ev.group or ""})
-            if ev.kind == "read_x":
-                stream.append(int(xflat[ev.addr]))
-            elif ev.kind == "read_x_pad":
-                stream.append(0)
-    # one output channel covers every spatial position once
-    m = cfg.h_out * cfg.w_out
-    got = np.array(stream[:m * per_pos]).reshape(m, per_pos)
-    ok = bool((got[:, :cfg.patch_len] == ref.T).all())
+    stream, cycles = im2col_addr.gather_stream(cfg, x, args.k_hw)
+    rows = [{"cycle": cycle, "kind": ev.kind,
+             "addr": ev.addr if ev.addr is not None else "",
+             "level": ev.level if ev.level is not None else "",
+             "group": ev.group or ""}
+            for cycle, events in cycles for ev in events]
+    # every output channel reads every patch, then zeros to the tile end
+    ok = bool((stream[:, :, :cfg.patch_len] == gemm_core.im2col(x, cfg).T)
+              .all() and not stream[:, :, cfg.patch_len:].any())
     if args.dump:
         with open(args.dump, "w", newline="") as f:
             w = csv.DictWriter(f, fieldnames=["cycle", "kind", "addr",

@@ -149,12 +149,15 @@ class InferResult:
 
 
 def _check_weights(model: ModelSpec, weights) -> None:
-    """Reject bad shapes, values outside B2 bits, and any layer whose sums
-    could leave int64: |sum| <= patch_len * 2^(B1+B2-2) + 2^(B2-1)."""
+    """Reject missing layers, bad shapes, values outside B2 bits, and any
+    layer whose sums could leave int64:
+    |sum| <= patch_len * 2^(B1+B2-2) + 2^(B2-1)."""
     fmt = FxpFormat(model.b2)
     for i, lay in enumerate(model.layers):
         if lay.kind == "gap":
             continue
+        if i not in weights:
+            raise ValueError(f"layer {i} has no weights")
         lw = weights[i]
         if (lw.weight.shape != lay.weight_shape
                 or lw.bias.shape != lay.out_shape[:1]):

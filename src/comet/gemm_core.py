@@ -4,11 +4,13 @@ Matrix products are computed tile-by-tile through the offset-binary
 shift-accumulate datapath and must equal the direct integer GEMM oracle
 bit-exactly.  One vectorized kernel serves both schemes (Scheme B swaps
 the coefficient and serial operands and transposes the result); it builds
-every tile's stored field tables (`comet.lut_arch.field_layout`) by one
-product and counts the table reads of all bit-slices of a serial operand
-at once, with one bit mask per field value.  With `record` set, it also
-returns the per-slice trace that :func:`comet.obc_ipc.ipc_obc` gives for
-one tile, for every tile at once.
+every tile's full field tables (an entry per value of each field of
+`comet.lut_arch.field_layout`, mirrored reads folded in) by one product,
+counts the table reads of all bit-slices of a serial operand at once,
+with one bit mask per field value, and sums the reads in one exact
+float64 product.  With `record` set, it also returns the per-slice trace
+that :func:`comet.obc_ipc.ipc_obc` gives for one tile, for every tile at
+once.
 """
 
 from dataclasses import dataclass
@@ -145,9 +147,9 @@ def _gemm_vectorized(theta, xcols, bias, cfg, record):
     w_rows, x_rows = (_tiled(rows, cfg.k_hw, kq) for rows in (theta, xcols.T))
     k_hw = cfg.k_hw if record else None
     if cfg.scheme is Scheme.A:
-        y2, trace = _obc_kernel(w_rows, x_rows, cfg.b1, fields, k_hw)
+        y2, trace = _obc_kernel(w_rows, x_rows, cfg.b1, fields, cfg.b2, k_hw)
     else:
-        y2, trace = _obc_kernel(x_rows, w_rows, cfg.b2, fields, k_hw)
+        y2, trace = _obc_kernel(x_rows, w_rows, cfg.b2, fields, cfg.b1, k_hw)
         y2 = y2.T
         if record:
             trace = {k: v.transpose(1, 0, 2, 3) for k, v in trace.items()}
@@ -161,9 +163,10 @@ def _gemm_vectorized(theta, xcols, bias, cfg, record):
 @cache
 def _layout_constants(fields, kq):
     """Per-layout sign matrix (`field_entries` over unit coefficients),
-    fold (field value x stored entry: +-1 where `mirror_read` sends the
-    value) and mask literals (per field operand, MSB first, a column of
-    [~u, u]); field values run field by field, ascending.  Read-only."""
+    full sign matrix (kq x field value: the sign matrix through a +-1 fold
+    to where `mirror_read` sends each value) and mask literals (per field
+    operand, MSB first, a column of [~u, u]); values ascend field by field.
+    Read-only."""
     unit = list(np.eye(kq))
     entries = [field_entries(unit[s:s + w], m) for s, w, m in fields]
     offset = np.cumsum([0] + [len(e) for e in entries])
@@ -176,65 +179,78 @@ def _layout_constants(fields, kq):
     # a narrower field repeats its last operand: AND ignores the repeat
     j = np.minimum(np.arange(w.max()), w[:, None] - 1)
     lit = start[:, None] + j + kq * (f[:, None] >> (w[:, None] - 1 - j) & 1)
-    consts = (np.stack(sum(entries, []), axis=1), fold, lit.T)
+    signs = np.stack(sum(entries, []), axis=1)
+    consts = (signs, signs @ fold.T, lit.T)
     for a in consts:
         a.flags.writeable = False
     return consts
 
 
-def _obc_kernel(coef, serial, b, fields, k_hw=None):
+def _obc_kernel(coef, serial, b, fields, coef_bits, k_hw=None):
     """Doubled products 2 * sum(coef[p] * serial[q]) over all tiles: (P, Q).
 
-    The (P, tiles, kq) coef rows fill their stored field tables by one
-    product with the layout's sign matrix.  The (Q, tiles, kq) serial rows
-    are b-bit patterns u, sliced LSB first, the sign slice weighing
-    negative.  The AND over a field's operands of u or ~u is, per field
-    value, a mask whose bit s is set exactly where slice s reads that
-    value.  In a pattern every bit from b-1 up copies the sign slice, and
-    AND and NOT keep that, so a mask read as a signed integer of its
-    container is the b-bit two's-complement value's signed read count:
-    the sum of +-2^s over its slices.  The fold sends every count to its
-    stored entry, negated for a mirrored read, and one int64 product with
-    the tables sums the reads.
+    The (P, tiles, kq) coef rows, at most `coef_bits` wide, fill the full
+    table of every field (one entry per field value) by one product with
+    the layout's full sign matrix.  The (Q, tiles, kq) serial rows are
+    b-bit patterns u, sliced LSB first, the sign slice weighing negative.
+    The AND over a field's operands of u or ~u is, per field value, a mask
+    whose bit s is set exactly where slice s reads that value.  In a
+    pattern every bit from b-1 up copies the sign slice, and AND and NOT
+    keep that, so a mask read as a signed integer of its container is the
+    b-bit two's-complement value's signed read count: the sum of +-2^s
+    over its slices.  One float64 product of the full tables with the
+    counts sums the reads.
 
-    The float64 steps are exact: a stored entry sums at most q <= 4
-    coefficients of at most 32 bits, so it stays below 2^35 < 2^53, and a
-    read count has magnitude at most 2^(b-1) <= 2^31, of which the fold
-    adds at most two (a value and its mirror).  The int64 product is exact
-    under the doubled-domain bound that `gemm_obc` checks.
+    The float64 steps are exact.  A full-table entry sums at most 4
+    coefficients: at most 2^(coef_bits+1) < 2^53.  A slice reads one value
+    per field, so a field's counts sum to at most 2^b - 1 in magnitude, and
+    a tile adds at most kq * 2^(coef_bits-1) * (2^b - 1) to the magnitudes
+    bounding every partial sum.  Past 2^53, the counts are cut into limbs
+    of the widest w that stays within it (a limb's magnitudes, the top one
+    signed, sum below 2^w), recombined as int64 << shift; past it even at
+    w = 1, the tiles also go in runs.  That may wrap, but is exact mod 2^64
+    and `gemm_obc` checks that the result fits in int64.
 
     Returns (products, trace).  The trace is None unless `k_hw` (the
     unpadded tile width, at most 63) is given; then it holds int64 arrays
     of shape (P, Q, tiles, b), LSB slice first: each tile's k_hw-bit PISO
-    `address`, the `lut_output` read through the mask bits from the full
-    tables `tables @ fold.T`, and the `accumulator` after the slice,
-    started at -sum(coef) of the tile.
+    `address`, the `lut_output` read from the full tables through the mask
+    bits, and the `accumulator` after the slice, started at -sum(coef) of
+    the tile.
     """
     n_coef, tiles, kq = coef.shape
     n_serial = len(serial)
-    signs, fold, lit = _layout_constants(fields, kq)
-    stored = tiles * signs.shape[1]         # stored entries per row
-    tables = (coef.reshape(-1, kq) @ signs).astype(np.int64)
+    full_signs, lit = _layout_constants(fields, kq)[1:]
+    values = full_signs.shape[1]
+    full = (coef.reshape(-1, kq) @ full_signs).reshape(n_coef, tiles * values)
     # (Q * tiles, kq) patterns in only the bytes that b needs
     u = serial.astype(f"<u{(1, 2, 4, 4)[(b - 1) // 8]}").reshape(-1, kq)
     lits = np.concatenate((~u, u), axis=1)
     masks = lits[:, lit[0]]
     for c in lit[1:]:
         masks &= lits[:, c]
-    reads = (masks.view(f"<i{u.itemsize}") @ fold).astype(np.int64)
-    y2 = -coef.sum(axis=(1, 2))[:, None] + np.einsum(
-        "ps,qs->pq", tables.reshape(n_coef, stored),
-        reads.reshape(n_serial, stored))
+    counts = masks.view(f"<i{u.itemsize}").reshape(n_serial, tiles * values)
+    per_tile = kq << coef_bits - 1
+    # the widest w with tiles * per_tile * (2^w - 1) <= 2^53, at least 1
+    w = max(1, ((1 << 53) // (per_tile * max(tiles, 1)) + 1).bit_length() - 1)
+    run = (1 << 53) // (per_tile * ((1 << w) - 1)) * values  # terms/product
+    y2 = np.zeros((n_coef, n_serial), np.int64) - coef.sum(axis=(1, 2))[:, None]
+    for t in range(0, tiles * values, run):
+        for shift in range(0, b, w):
+            limb = counts[:, t:t + run] >> shift
+            if shift + w < b:
+                limb &= (1 << w) - 1
+            y2 += (full[:, t:t + run] @ limb.T).astype(np.int64) << shift
     if k_hw is None:
         return y2, None
     shape = (n_serial, tiles, b)
     # (Q, tiles, b, kq + values): the pattern bits, then the mask bits
     bits = np.unpackbits(np.concatenate((u, masks), axis=1)[..., None]
                          .view(np.uint8).swapaxes(-1, -2), axis=-2, count=b,
-                         bitorder="little").reshape(*shape, kq + len(fold))
+                         bitorder="little").reshape(*shape, kq + values)
     address = bits[..., :k_hw] @ (1 << np.arange(k_hw - 1, -1, -1))
-    full = (tables @ fold.T).astype(np.int64).reshape(n_coef, tiles, len(fold))
-    lut_output = np.einsum("ptv,qtsv->pqts", full, bits[..., kq:])
+    lut_output = np.einsum("ptv,qtsv->pqts", full.astype(np.int64)
+                           .reshape(n_coef, tiles, values), bits[..., kq:])
     weight = np.append(1 << np.arange(b - 1), -(1 << (b - 1)))
     accumulator = np.cumsum(lut_output * weight, axis=-1) \
         - coef.sum(axis=2)[:, None, :, None]

@@ -16,6 +16,8 @@ falling outside it are emitted as pad-zero events instead of addresses.
 
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class LayerConfigWord:
@@ -212,3 +214,21 @@ def run_layer(cfg: LayerConfigWord, k_hw: int):
         if pending.tile == tiles - 1:
             events.append(AddrEvent("write_y", addr=write_address(pending, cfg)))
         yield cycle, events
+
+
+def gather_stream(cfg: LayerConfigWord, x, k_hw: int):
+    """Walk a layer and gather the activations its x reads fetch.
+
+    Returns (stream, cycles).  `stream` is an int64 array of shape
+    (n, h_out * w_out, tiles * k_hw) in read order: the value of `x`
+    (C, H, W) at each read_x address, 0 for each read_x_pad (spatial
+    padding or tile tail).  `cycles` lists the (cycle, events) pairs of
+    `run_layer`.
+    """
+    flat = np.asarray(x).reshape(-1)
+    cycles = list(run_layer(cfg, k_hw))
+    stream = [flat[ev.addr] if ev.kind == "read_x" else 0
+              for _, events in cycles for ev in events
+              if ev.kind in ("read_x", "read_x_pad")]
+    return (np.array(stream, dtype=np.int64).reshape(
+        cfg.n, cfg.h_out * cfg.w_out, cfg.tiles(k_hw) * k_hw), cycles)

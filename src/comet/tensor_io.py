@@ -194,18 +194,22 @@ def load_weight_bundle(directory) -> WeightBundle:
     """Read a bundle written by save_weight_bundle.
 
     Raises BundleError when the manifest is not JSON, lacks `layers` or a
-    layer's `weight`/`bias`/`shift`, has a shift outside 0..63, or names a
-    file that is not a string or resolves outside the bundle directory.
+    layer's `weight`/`bias`/`shift`, has a shift that is not a JSON integer
+    in 0..63, or names a file that is not a string or resolves outside the
+    bundle directory.
     """
     directory = Path(directory).resolve()
     text = (directory / "manifest.json").read_text()
     try:
-        entries = {int(key): (e["weight"], e["bias"], int(e["shift"]))
+        entries = {int(key): (e["weight"], e["bias"], e["shift"])
                    for key, e in json.loads(text)["layers"].items()}
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise BundleError(f"malformed manifest.json: {exc!r}") from exc
-    if any(not 0 <= shift <= 63 for _, _, shift in entries.values()):
-        raise BundleError("manifest has a shift outside 0..63")
+    # a bool is an int to Python, but not a JSON integer
+    if any(type(shift) is not int or not 0 <= shift <= 63
+           for _, _, shift in entries.values()):
+        raise BundleError("manifest has a shift that is not an integer "
+                          "in 0..63")
 
     def tensor(name):
         if not isinstance(name, str):

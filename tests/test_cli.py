@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from comet import im2col_addr
 from comet.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, main
 from comet.cnn_model import build_modified_lenet5
 from comet.tensor_io import gen_weights, save_weight_bundle, write_cbt
@@ -148,7 +149,9 @@ def test_infer_missing_input_file(capsys, tmp_path):
     assert "error" in err
 
 
-@pytest.mark.parametrize("bad", ["outside", "not json", "shift 64"])
+@pytest.mark.parametrize("bad", ["outside", "not json", "shift 64",
+                                 "shift 2.7", 'shift "3"', "shift true",
+                                 "no layer 5"])
 def test_infer_rejects_bad_bundle(capsys, tmp_path, bad):
     model = build_modified_lenet5()
     save_weight_bundle(gen_weights(42, model, 8), model, tmp_path / "w")
@@ -158,9 +161,13 @@ def test_infer_rejects_bad_bundle(capsys, tmp_path, bad):
         (tmp_path / "w" / "layer0.weight.cbt").rename(tmp_path / "w0.cbt")
         text = manifest.read_text().replace('"layer0.weight.cbt"',
                                             '"../w0.cbt"')
-    elif bad == "shift 64":
+    elif bad.startswith("shift"):
         doc = json.loads(manifest.read_text())
-        doc["layers"]["0"]["shift"] = 64
+        doc["layers"]["0"]["shift"] = json.loads(bad.split()[1])
+        text = json.dumps(doc)
+    elif bad == "no layer 5":
+        doc = json.loads(manifest.read_text())
+        del doc["layers"]["5"]
         text = json.dumps(doc)
     else:
         text = "{not json"
@@ -201,6 +208,23 @@ def test_addrgen_presets(capsys, layer):
     code, out, _ = run(capsys, "addrgen", "--preset", f"lenet5m:{layer}")
     assert code == EXIT_OK
     assert "matches" in out
+
+
+@pytest.mark.parametrize("where", ["last channel", "tile tail"])
+def test_addrgen_checks_every_channel_and_tail(capsys, monkeypatch, where):
+    """A stream that diverges only past channel 0, or only in a tile-tail
+    pad, is a verification failure."""
+    gather = im2col_addr.gather_stream
+
+    def corrupt(cfg, x, k_hw):
+        stream, cycles = gather(cfg, x, k_hw)
+        stream[(-1, 0, 0) if where == "last channel" else (0, 0, -1)] += 1
+        return stream, cycles
+
+    monkeypatch.setattr(im2col_addr, "gather_stream", corrupt)
+    code, out, _ = run(capsys, "addrgen", "--preset", "lenet5m:conv1")
+    assert code == EXIT_VERIFY_FAIL
+    assert "DIVERGES" in out
 
 
 def test_addrgen_dump(capsys, tmp_path):

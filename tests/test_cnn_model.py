@@ -207,6 +207,18 @@ def test_infer_validates_weights_and_input():
             run(model, WeightBundle(bad), gen_input(0, (1, 32, 32), 8))
 
 
+@pytest.mark.parametrize("missing", [0, 5])
+def test_infer_rejects_missing_layer(missing):
+    """A bundle without a conv or dense layer's weights is a ValueError,
+    not a KeyError."""
+    model = build_modified_lenet5()
+    w = gen_weights(0, model, 8)
+    del w.layers[missing]
+    for run in (lambda *args: infer(*args, CFG), infer_oracle):
+        with pytest.raises(ValueError, match=f"layer {missing} has no weights"):
+            run(model, w, gen_input(0, (1, 32, 32), 8))
+
+
 def test_relu_output_is_nonnegative():
     model = build_modified_lenet5()
     w = gen_weights(3, model, 8)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from comet.gemm_core import (
     GemmConfig,
     _layout_constants,
+    _obc_kernel,
     gemm_cycles,
     gemm_obc,
     gemm_oracle,
@@ -215,15 +216,57 @@ def test_gemm_at_every_serial_width(scheme, arch):
         assert (y == gemm_oracle(theta, x, bias)).all(), b
 
 
+@pytest.mark.parametrize("scheme", [Scheme.A, Scheme.B])
+@pytest.mark.parametrize("arch", ARCHS)
+def test_gemm_at_the_limb_boundary(scheme, arch):
+    """A float64 product of the read counts is exact while its sum of
+    magnitudes, at most tiles * kq * 2^(coefficient bits - 1) * (2^b - 1)
+    for b-bit serial operands, stays within 2^53: 256 full tiles take one
+    limb, 257 take two.  Every operand is at an extreme of its format,
+    each serial one with a coefficient of its sign, three positive to one
+    negative, so the magnitudes reach that bound and the sum is odd."""
+    b, bc, k_hw = 20, 24, 4
+    def bound(tiles):
+        return (tiles * k_hw << bc - 1) * ((1 << b) - 1)
+    assert bound(256) <= 1 << 53 < bound(257)
+    for tiles in (256, 257):
+        high = np.tile([True, True, True, False], tiles)
+        serial = np.where(high, (1 << b - 1) - 1, -(1 << b - 1))[None]
+        coef = np.where(high, (1 << bc - 1) - 1, -(1 << bc - 1))[None]
+        if scheme is Scheme.A:
+            theta, x, b1, b2 = coef, serial.T, b, bc
+        else:
+            theta, x, b1, b2 = serial, coef.T, bc, b
+        bias = np.array([(1 << b2 - 1) - 1])
+        cfg = GemmConfig(k_hw=k_hw, l=1, scheme=scheme, arch=arch,
+                         b1=b1, b2=b2)
+        y, _, _ = gemm_obc(theta, x, bias, cfg)
+        assert (y == gemm_oracle(theta, x, bias)).all(), tiles
+
+
+@pytest.mark.parametrize("kind", ARCHS[:4])
+def test_kernel_takes_long_contractions_a_run_at_a_time(kind):
+    """Past 2^53 even with one-bit limbs (46-bit coefficients, wider than
+    gemm_obc admits, over 257 tiles), the kernel sums the tiles in runs
+    that each stay within 2^53, and the doubled products stay exact."""
+    tiles, b, bits = 257, 2, 46
+    high = np.tile([True, True, True, False], tiles)
+    coef = np.where(high, (1 << bits - 1) - 1, -(1 << bits - 1))
+    serial = np.where(high, 1, -2)
+    y2, _ = _obc_kernel(coef.reshape(1, tiles, 4), serial.reshape(1, tiles, 4),
+                        b, tuple(field_layout(kind, 4, 4)), bits)
+    assert y2.tolist() == [[2 * sum(map(int, coef * serial))]]
+
+
 @pytest.mark.parametrize("kq", [4, 8, 16])
 @pytest.mark.parametrize("kind", ARCHS[:4])
 def test_fold_full_tables_are_the_naive_lut(kind, kq):
-    """`tables @ fold.T` holds every field value's signed read; summed
-    over the fields at an address, they give the naive table's entry."""
+    """`coeffs @ full_signs` (the sign matrix folded by `mirror_read`)
+    holds every field value's signed read; summed over the fields at an
+    address, they give the naive table's entry."""
     coeffs = _rand((kq,), 8, seed=90 + kq)
     fields = field_layout(kind, *padded_layout(kq))
-    signs, fold, _ = _layout_constants(tuple(fields), kq)
-    full = (coeffs @ signs) @ fold.T
+    full = coeffs @ _layout_constants(tuple(fields), kq)[1]
     address = np.arange(1 << kq)
     value, column = 0, 0
     for start, w, _ in fields:

@@ -1,6 +1,7 @@
 """Hierarchical-counter address generator vs. the im2col reference."""
 
-import numpy as np
+from collections import Counter
+
 import pytest
 
 from comet.cnn_model import build_modified_lenet5
@@ -11,8 +12,8 @@ from comet.im2col_addr import (
     GroupCtx,
     LayerConfigWord,
     bias_enable,
+    gather_stream,
     read_addresses,
-    run_layer,
     step,
     write_address,
 )
@@ -23,35 +24,19 @@ CONV_LAYERS = [lay.cfg for lay in build_modified_lenet5().layers
 
 
 def _collect(cfg, k_hw):
-    events_by_kind = {}
-    stream = []
-    writes = []
-    carries = {1: 0, 2: 0, 3: 0, 4: 0}
     x = gen_input(7, (cfg.c, cfg.h, cfg.w), cfg.b)
-    flat = x.reshape(-1)
-    for _, events in run_layer(cfg, k_hw):
-        for ev in events:
-            events_by_kind.setdefault(ev.kind, 0)
-            events_by_kind[ev.kind] += 1
-            if ev.kind == "read_x":
-                stream.append(int(flat[ev.addr]))
-            elif ev.kind == "read_x_pad":
-                stream.append(0)
-            elif ev.kind == "write_y":
-                writes.append(ev.addr)
-            elif ev.kind == "carry":
-                carries[ev.level] += 1
-    return x, stream, writes, carries, events_by_kind
+    stream, cycles = gather_stream(cfg, x, k_hw)
+    events = [ev for _, evs in cycles for ev in evs]
+    writes = [ev.addr for ev in events if ev.kind == "write_y"]
+    carries = Counter(ev.level for ev in events if ev.kind == "carry")
+    return x, stream, writes, carries
 
 
 @pytest.mark.parametrize("cfg", CONV_LAYERS, ids=lambda c: f"c{c.c}k{c.kh}s{c.s}")
 @pytest.mark.parametrize("k_hw", [16])
 def test_stream_matches_im2col(cfg, k_hw):
-    x, stream, _, _, _ = _collect(cfg, k_hw)
+    x, got, _, _ = _collect(cfg, k_hw)
     ref = im2col(x, cfg)
-    per_pos = cfg.tiles(k_hw) * k_hw
-    m = cfg.h_out * cfg.w_out
-    got = np.array(stream).reshape(cfg.n, m, per_pos)
     for ch in range(cfg.n):
         assert (got[ch, :, :cfg.patch_len] == ref.T).all()
         assert (got[ch, :, cfg.patch_len:] == 0).all()   # tile-tail zeros
@@ -60,7 +45,7 @@ def test_stream_matches_im2col(cfg, k_hw):
 @pytest.mark.parametrize("cfg", CONV_LAYERS, ids=lambda c: f"c{c.c}k{c.kh}s{c.s}")
 def test_carry_counts(cfg):
     k_hw = 16
-    _, _, _, carries, _ = _collect(cfg, k_hw)
+    _, _, _, carries = _collect(cfg, k_hw)
     hw = cfg.h_out * cfg.w_out
     assert carries[1] == cfg.tiles(k_hw) * hw * cfg.n
     assert carries[2] == hw * cfg.n
@@ -70,7 +55,7 @@ def test_carry_counts(cfg):
 
 @pytest.mark.parametrize("cfg", CONV_LAYERS, ids=lambda c: f"c{c.c}k{c.kh}s{c.s}")
 def test_write_addresses_bijective(cfg):
-    _, _, writes, _, _ = _collect(cfg, 16)
+    _, _, writes, _ = _collect(cfg, 16)
     n_out = cfg.n * cfg.h_out * cfg.w_out
     assert len(writes) == n_out
     assert sorted(writes) == list(range(n_out))

@@ -216,3 +216,13 @@ def test_bundle_rejects_shift_outside_0_63(tmp_path, shift):
     (tmp_path / "w" / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(BundleError, match="shift"):
         load_weight_bundle(tmp_path / "w")
+
+
+@pytest.mark.parametrize("shift", [2.7, 3.0, "3", True])
+def test_bundle_rejects_non_integer_shift(tmp_path, shift):
+    """int() would load these as 2, 3, 3 and 1 without a word."""
+    manifest = _saved_manifest(tmp_path)
+    manifest["layers"]["0"]["shift"] = shift
+    (tmp_path / "w" / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(BundleError, match="shift"):
+        load_weight_bundle(tmp_path / "w")
