@@ -14,7 +14,6 @@ from .lut_arch import (
 from .obc_ipc import (
     IpcProblem,
     ObcLut,
-    SaTrace,
     Scheme,
     build_naive_lut,
     ipc_obc,

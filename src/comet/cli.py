@@ -1,8 +1,10 @@
 """Command-line front end: cost tables, verification sweeps, inference runs.
 
 Exit-code contract: 0 = pass, 1 = verification failure, 2 = usage or I/O
-error.  Every randomized command takes a --seed and echoes it, and JSON
-and table renderings are produced from the same report dict.
+error.  Commands raise on bad input; `main` alone turns every ValueError
+and OSError into one `error:` line and exit 2.  Every randomized command
+takes a --seed and echoes it, and JSON and table renderings are produced
+from the same report dict.
 """
 
 import argparse
@@ -15,8 +17,8 @@ import numpy as np
 
 from . import cnn_model, gemm_core, im2col_addr, metrics, tensor_io
 from .fxp import FxpFormat
-from .lut_arch import KINDS, FactorizationError, LutArch, lut_cost
-from .obc_ipc import NAIVE_K_LIMIT, IpcProblem, Scheme, ipc_obc, ipc_oracle
+from .lut_arch import KINDS, LutArch, lut_cost
+from .obc_ipc import IpcProblem, Scheme, ipc_obc, ipc_oracle
 from .tensor_io import SplitMix64
 
 EXIT_OK = 0
@@ -57,18 +59,9 @@ def cmd_lut_cost(args) -> int:
     rows = []
     for kind in archs:
         for k in args.k:
-            if args.q is not None:
-                q = args.q
-                p = args.p if args.p is not None else k // q
-            else:
-                q = min(4, k)
-                p = k // q
-            try:
-                arch = LutArch(kind, k, p, q)
-            except (FactorizationError, ValueError) as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_USAGE
-            c = lut_cost(arch)
+            q = args.q or min(4, k)
+            p = args.p or k // q
+            c = lut_cost(LutArch(kind, k, p, q))
             rows.append({
                 "arch": kind, "k": k, "p": p, "q": q,
                 "adders": c.adders, "muxes_2to1": c.muxes_2to1,
@@ -85,12 +78,7 @@ def cmd_lut_cost(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.trials < 1:
-        print("error: --trials must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
-    if args.arch == "naive" and args.k > NAIVE_K_LIMIT:
-        print(f"error: --k {args.k} exceeds the naive-table bound "
-              f"{NAIVE_K_LIMIT}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--trials must be >= 1")
     rng = SplitMix64(args.seed)
     fmt_in, fmt_wt = FxpFormat(args.b1), FxpFormat(args.b2)
     scheme = Scheme(args.scheme)
@@ -128,28 +116,20 @@ def cmd_verify(args) -> int:
 
 def cmd_infer(args) -> int:
     model = cnn_model.build_modified_lenet5(args.b1, args.b2)
-    try:
-        if args.weights:
-            weights = tensor_io.load_weight_bundle(args.weights)
-        else:
-            weights = tensor_io.gen_weights(args.gen_weights, model, args.b2)
-        if args.input:
-            x = tensor_io.read_cbt(args.input)
-        else:
-            x = tensor_io.gen_input(args.gen_input, (1, 32, 32), args.b1)
-    except (OSError, tensor_io.CbtError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    if args.weights:
+        weights = tensor_io.load_weight_bundle(args.weights)
+    else:
+        weights = tensor_io.gen_weights(args.gen_weights, model, args.b2)
+    if args.input:
+        x = tensor_io.read_cbt(args.input)
+    else:
+        x = tensor_io.gen_input(args.gen_input, (1, 32, 32), args.b1)
     cfg = gemm_core.GemmConfig(k_hw=args.k_hw, l=args.lanes,
                                scheme=Scheme(args.scheme), arch=args.arch,
                                b1=args.b1, b2=args.b2)
     record = args.dump_trace is not None
-    try:
-        result = cnn_model.infer(model, weights, x, cfg, record=record)
-        oracle = cnn_model.infer_oracle(model, weights, x)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    result = cnn_model.infer(model, weights, x, cfg, record=record)
+    oracle = cnn_model.infer_oracle(model, weights, x)
     verdict = "PASS" if result.logits == oracle else "FAIL"
     report = {
         "config": {"b1": args.b1, "b2": args.b2, "scheme": args.scheme,
@@ -191,15 +171,11 @@ _PRESET_LAYERS = {"conv1": 0, "conv2": 1, "conv3": 2, "conv4": 3}
 
 
 def cmd_addrgen(args) -> int:
-    try:
-        family, layer = args.preset.split(":")
-        if family != "lenet5m":
-            raise ValueError(f"unknown preset family {family!r}")
-        idx = _PRESET_LAYERS[layer]
-    except (ValueError, KeyError):
-        print(f"error: unknown preset {args.preset!r}; expected "
-              f"lenet5m:conv1..conv4", file=sys.stderr)
-        return EXIT_USAGE
+    family, _, layer = args.preset.partition(":")
+    idx = _PRESET_LAYERS.get(layer) if family == "lenet5m" else None
+    if idx is None:
+        raise ValueError(f"unknown preset {args.preset!r}; expected "
+                         f"lenet5m:conv1..conv4")
     model = cnn_model.build_modified_lenet5()
     cfg = model.layers[idx].cfg
     x = tensor_io.gen_input(args.seed, (cfg.c, cfg.h, cfg.w), cfg.b)
@@ -244,26 +220,20 @@ def cmd_metrics(args) -> int:
         _emit(rows, args.format)
         return EXIT_OK if ok else EXIT_VERIFY_FAIL
     if args.report:
-        try:
-            blob = json.loads(Path(args.report).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        r = metrics.ResourceReport(
-            luts=blob.get("luts", 0), ffs=blob.get("ffs", 0),
-            dsps=blob.get("dsps", 0), brams=blob.get("brams", 0),
-            power_w=blob.get("power_w"))
-        tmac = blob.get("t_mac_gops")
-        fclk = blob.get("f_clk")
+        blob = json.loads(Path(args.report).read_text())
+        if not isinstance(blob, dict):
+            raise ValueError(f"{args.report} does not hold a JSON object")
     else:
-        r = metrics.ResourceReport(luts=args.lut, ffs=args.ff,
-                                   dsps=args.dsp, brams=args.bram,
-                                   power_w=args.power)
-        tmac, fclk = args.tmac, args.fclk
-    if not tmac or tmac <= 0 or not fclk or fclk <= 0:
-        print("error: positive --tmac and --fclk are required",
-              file=sys.stderr)
-        return EXIT_USAGE
+        blob = {"luts": args.lut, "ffs": args.ff, "dsps": args.dsp,
+                "brams": args.bram, "power_w": args.power,
+                "t_mac_gops": args.tmac, "f_clk": args.fclk}
+    r = metrics.ResourceReport(
+        luts=blob.get("luts", 0), ffs=blob.get("ffs", 0),
+        dsps=blob.get("dsps", 0), brams=blob.get("brams", 0),
+        power_w=blob.get("power_w"))
+    tmac, fclk = blob.get("t_mac_gops"), blob.get("f_clk")
+    if not all(metrics.is_real(v) and v > 0 for v in (tmac, fclk)):
+        raise ValueError("positive --tmac and --fclk are required")
     e = metrics.ens_rounded(r)
     row = {"ens": e, "ens_exact": round(metrics.ens(r), 1),
            "aep": round(metrics.aep(tmac * 1e9, fclk, e), 3)}
@@ -282,10 +252,10 @@ def _positive_int(text: str) -> int:
 
 def _bit_width(text: str) -> int:
     value = int(text)
-    if not 2 <= value <= 32:
-        raise argparse.ArgumentTypeError(f"bit width must be in [2, 32], "
-                                         f"got {value}")
-    return value
+    try:
+        return FxpFormat(value).bits
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -359,7 +329,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def entry() -> None:

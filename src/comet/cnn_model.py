@@ -149,13 +149,16 @@ class InferResult:
 
 
 def _check_weights(model: ModelSpec, weights) -> None:
-    """Reject missing layers, bad shapes, values outside B2 bits, and any
-    layer whose sums could leave int64:
-    |sum| <= patch_len * 2^(B1+B2-2) + 2^(B2-1)."""
+    """Reject missing layers, weights keyed by an index that is not a conv
+    or dense layer, bad shapes, values outside B2 bits, and any layer whose
+    sums could leave int64: |sum| <= patch_len * 2^(B1+B2-2) + 2^(B2-1)."""
     fmt = FxpFormat(model.b2)
-    for i, lay in enumerate(model.layers):
-        if lay.kind == "gap":
-            continue
+    gemm = [i for i, lay in enumerate(model.layers) if lay.kind != "gap"]
+    extra = [i for i in weights if i not in gemm]
+    if extra:
+        raise ValueError(f"weights keyed {extra} name no conv or dense layer")
+    for i in gemm:
+        lay = model.layers[i]
         if i not in weights:
             raise ValueError(f"layer {i} has no weights")
         lw = weights[i]

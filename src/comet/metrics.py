@@ -6,6 +6,12 @@ published comparison table for regression.
 """
 
 from dataclasses import dataclass
+from numbers import Real
+
+
+def is_real(value) -> bool:
+    """True for a real number; a bool (JSON `true`) is not one."""
+    return isinstance(value, Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -17,10 +23,14 @@ class ResourceReport:
     power_w: float | None = None
 
     def __post_init__(self):
-        if min(self.luts, self.ffs, self.dsps, self.brams) < 0:
+        counts = (self.luts, self.ffs, self.dsps, self.brams)
+        if not all(map(is_real, counts)):
+            raise ValueError(f"resource counts must be numbers, got {counts}")
+        if min(counts) < 0:
             raise ValueError("resource counts must be nonnegative")
-        if self.power_w is not None and self.power_w < 0:
-            raise ValueError("power must be nonnegative")
+        if self.power_w is not None and not (is_real(self.power_w)
+                                             and self.power_w >= 0):
+            raise ValueError("power must be a nonnegative number")
 
 
 def throughput_mac(k: int, l: int, b: int, f_clk: float) -> float:

@@ -10,8 +10,6 @@ cycles; Scheme B swaps the roles and runs for B2 cycles.  Both must match
 the direct multiply-accumulate oracle exactly.
 """
 
-import csv
-import io
 from dataclasses import dataclass
 from enum import Enum
 
@@ -38,7 +36,6 @@ class IpcProblem:
     serial_operands: tuple[int, ...]
     bias: int
     scheme: Scheme
-    serial_bits: int
     coeff_fmt: FxpFormat
     serial_fmt: FxpFormat
 
@@ -47,8 +44,6 @@ class IpcProblem:
             raise ValueError("coeffs and serial operands must have equal length")
         if not 1 <= len(self.coeffs):
             raise ValueError("K must be at least 1")
-        if self.serial_bits != self.serial_fmt.bits:
-            raise ValueError("serial_bits must match the serial format width")
         for v in self.coeffs:
             if not self.coeff_fmt.contains(v):
                 raise ValueError(f"coefficient {v} outside {self.coeff_fmt.bits}-bit range")
@@ -63,13 +58,13 @@ class IpcProblem:
         scheme = Scheme(scheme)
         if scheme is Scheme.A:
             return cls(tuple(weights), tuple(inputs), bias, scheme,
-                       fmt_in.bits, coeff_fmt=fmt_wt, serial_fmt=fmt_in)
+                       coeff_fmt=fmt_wt, serial_fmt=fmt_in)
         return cls(tuple(inputs), tuple(weights), bias, scheme,
-                   fmt_wt.bits, coeff_fmt=fmt_in, serial_fmt=fmt_wt)
+                   coeff_fmt=fmt_in, serial_fmt=fmt_wt)
 
     @property
-    def k(self) -> int:
-        return len(self.coeffs)
+    def serial_bits(self) -> int:
+        return self.serial_fmt.bits
 
 
 @dataclass
@@ -81,32 +76,6 @@ class ObcLut:
 
     def __call__(self, address: int) -> int:
         return self.entries[address]
-
-
-@dataclass
-class SaStep:
-    r: int
-    lut_address: int
-    lut_output: int
-    accumulator_after: int
-
-
-@dataclass
-class SaTrace:
-    """Per-slice record of one shift-accumulate run; cycles == serial bits."""
-
-    steps: list[SaStep]
-    cycles: int
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["slice_r", "address_bits", "lut_output", "accumulator"])
-        width = max((s.lut_address.bit_length() for s in self.steps), default=1)
-        for s in self.steps:
-            w.writerow([s.r, format(s.lut_address, f"0{width}b"),
-                        s.lut_output, s.accumulator_after])
-        return buf.getvalue()
 
 
 def build_naive_lut(coeffs) -> ObcLut:
@@ -151,25 +120,28 @@ def piso_schedule(operands, b: int) -> list[int]:
 
 
 def sa_run(lut, serial_operands, serial_bits: int, init: int,
-           record: bool = True) -> tuple[int, SaTrace | None]:
+           record: bool = True) -> tuple[int, dict[str, list[int]] | None]:
     """Shift-accumulate over the bit-slices of the serial operands.
 
     Slices are consumed LSB-first; the sign slice's table output is
     accumulated negated.  `lut` is anything callable on an address.
-    Returns the halved (true-domain) result plus an optional trace.
+    Returns the halved (true-domain) result plus, with `record`, the
+    trace: `address`, `lut_output` and `accumulator` lists, one entry
+    per slice, LSB slice first (the keys of `gemm_obc(record=True)`).
     """
     b = serial_bits
     acc = init
-    steps = [] if record else None
+    trace = ({"address": [], "lut_output": [], "accumulator": []}
+             if record else None)
     for shift, addr in enumerate(piso_schedule(serial_operands, b)):
         out = lut(addr)
         acc += (-out if shift == b - 1 else out) << shift
         if record:
-            steps.append(SaStep(b - 1 - shift, addr, out, acc))
+            trace["address"].append(addr)
+            trace["lut_output"].append(out)
+            trace["accumulator"].append(acc)
     assert acc % 2 == 0, "doubled-domain accumulator must be even"
-    result = acc >> 1
-    trace = SaTrace(steps, b) if record else None
-    return result, trace
+    return acc >> 1, trace
 
 
 def ipc_oracle(weights, inputs, bias: int = 0) -> int:
@@ -178,7 +150,7 @@ def ipc_oracle(weights, inputs, bias: int = 0) -> int:
 
 
 def ipc_obc(problem: IpcProblem, lut_impl: str = "naive",
-            record: bool = True) -> tuple[int, SaTrace | None]:
+            record: bool = True) -> tuple[int, dict[str, list[int]] | None]:
     """Evaluate one inner product through the OBC datapath.
 
     `lut_impl` selects a structural technique ("parallel", "shared",

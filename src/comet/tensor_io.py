@@ -142,6 +142,9 @@ class WeightBundle:
     def __contains__(self, idx: int) -> bool:
         return idx in self.layers
 
+    def __iter__(self):
+        return iter(self.layers)
+
     def digest(self) -> str:
         """SHA-256 over the canonical little-endian serialization."""
         h = hashlib.sha256()
@@ -194,17 +197,22 @@ def load_weight_bundle(directory) -> WeightBundle:
     """Read a bundle written by save_weight_bundle.
 
     Raises BundleError when the manifest is not JSON, lacks `layers` or a
-    layer's `weight`/`bias`/`shift`, has a shift that is not a JSON integer
-    in 0..63, or names a file that is not a string or resolves outside the
-    bundle directory.
+    layer's `weight`/`bias`/`shift`, has a layer key that is not a
+    canonical non-negative decimal ("5", not "05", " 5" or "+5"), has a
+    shift that is not a JSON integer in 0..63, or names a file that is not
+    a string or resolves outside the bundle directory.
     """
     directory = Path(directory).resolve()
     text = (directory / "manifest.json").read_text()
     try:
-        entries = {int(key): (e["weight"], e["bias"], e["shift"])
+        entries = {key: (e["weight"], e["bias"], e["shift"])
                    for key, e in json.loads(text)["layers"].items()}
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise BundleError(f"malformed manifest.json: {exc!r}") from exc
+    # an alias such as "05" would silently replace layer 5
+    if not all(key.isdecimal() and str(int(key)) == key for key in entries):
+        raise BundleError(f"manifest layer keys {list(entries)} are not all "
+                          f"canonical non-negative decimals")
     # a bool is an int to Python, but not a JSON integer
     if any(type(shift) is not int or not 0 <= shift <= 63
            for _, _, shift in entries.values()):
@@ -219,5 +227,5 @@ def load_weight_bundle(directory) -> WeightBundle:
             raise BundleError(f"manifest names {name!r} outside the bundle")
         return read_cbt(path)
 
-    return WeightBundle({idx: LayerWeights(tensor(w), tensor(b), shift)
-                         for idx, (w, b, shift) in entries.items()})
+    return WeightBundle({int(key): LayerWeights(tensor(w), tensor(b), shift)
+                         for key, (w, b, shift) in entries.items()})

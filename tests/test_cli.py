@@ -151,7 +151,8 @@ def test_infer_missing_input_file(capsys, tmp_path):
 
 @pytest.mark.parametrize("bad", ["outside", "not json", "shift 64",
                                  "shift 2.7", 'shift "3"', "shift true",
-                                 "no layer 5"])
+                                 "no layer 5", "extra layers 9 and 4",
+                                 "alias 05"])
 def test_infer_rejects_bad_bundle(capsys, tmp_path, bad):
     model = build_modified_lenet5()
     save_weight_bundle(gen_weights(42, model, 8), model, tmp_path / "w")
@@ -168,6 +169,16 @@ def test_infer_rejects_bad_bundle(capsys, tmp_path, bad):
     elif bad == "no layer 5":
         doc = json.loads(manifest.read_text())
         del doc["layers"]["5"]
+        text = json.dumps(doc)
+    elif bad == "extra layers 9 and 4":
+        # 4 is the pooling layer; neither entry would ever be read
+        doc = json.loads(manifest.read_text())
+        doc["layers"]["9"] = doc["layers"]["4"] = doc["layers"]["6"]
+        text = json.dumps(doc)
+    elif bad == "alias 05":
+        # read as layer 5, it would silently replace that layer's shift
+        doc = json.loads(manifest.read_text())
+        doc["layers"]["05"] = dict(doc["layers"]["5"], shift=0)
         text = json.dumps(doc)
     else:
         text = "{not json"
@@ -199,6 +210,37 @@ def test_infer_trace_rejects_addresses_past_int64(capsys, tmp_path):
                        "--dump-trace", str(tmp_path / "traces"))
     assert code == EXIT_USAGE
     assert err.startswith("error:") and "63" in err
+
+
+# -- one exit-code policy ---------------------------------------------------
+
+_REPORTS = ['[1, 2]',
+            '{"luts": "many", "t_mac_gops": 0.2, "f_clk": 1e8}',
+            '{"luts": -1, "t_mac_gops": 0.2, "f_clk": 1e8}',
+            '{"luts": 100, "t_mac_gops": "0.2", "f_clk": 1e8}',
+            '{"luts": 100, "t_mac_gops": true, "f_clk": 1e8}']
+
+
+@pytest.mark.parametrize("argv", [
+    *(["metrics", "--report", f"R{i}"] for i in range(len(_REPORTS))),
+    ["metrics", "--power", "-1", "--tmac", "0.2", "--fclk", "1e8"],
+    ["metrics", "--tmac", "0.2", "--fclk", "1e8"],        # ENS 0
+    ["addrgen", "--preset", "lenet5m:conv1", "--dump", "F/x.csv"],
+    ["infer", "--dump-trace", "F/traces"],
+    ["lut-cost", "--k", "16", "--p", "3"],               # q defaults to 4
+], ids=lambda argv: " ".join(argv))
+def test_rejected_input_exits_usage(capsys, tmp_path, argv):
+    """Any rejected value or unusable path gives one `error:` line and exit
+    2, never a traceback or a silently accepted value. F is a regular
+    file, so a path below it cannot be created."""
+    (tmp_path / "F").touch()
+    for i, text in enumerate(_REPORTS):
+        (tmp_path / f"R{i}").write_text(text)
+    argv = [str(tmp_path / a) if a.startswith(("F/", "R")) else a
+            for a in argv]
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 # -- addrgen --------------------------------------------------------------

@@ -219,6 +219,18 @@ def test_infer_rejects_missing_layer(missing):
             run(model, w, gen_input(0, (1, 32, 32), 8))
 
 
+@pytest.mark.parametrize("extra", [4, 9, "5"])
+def test_infer_rejects_weights_for_no_gemm_layer(extra):
+    """Weights keyed by the pooling layer, a layer past the model, or a
+    key that is not an index are never read: reject them."""
+    model = build_modified_lenet5()
+    w = gen_weights(0, model, 8)
+    w.layers[extra] = w.layers[0]
+    for run in (lambda *args: infer(*args, CFG), infer_oracle):
+        with pytest.raises(ValueError, match="no conv or dense layer"):
+            run(model, w, gen_input(0, (1, 32, 32), 8))
+
+
 def test_relu_output_is_nonnegative():
     model = build_modified_lenet5()
     w = gen_weights(3, model, 8)

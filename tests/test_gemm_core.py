@@ -161,10 +161,7 @@ def test_scalar_and_vectorized_engines_agree(scheme, arch):
                 int(bias[n]) if t == tiles - 1 else 0, scheme,
                 FxpFormat(b1), FxpFormat(b2))
             _, ref = ipc_obc(prob, arch, record=True)
-            got = zip(*(tr[k][n, m, t].tolist()
-                        for k in ("address", "lut_output", "accumulator")))
-            assert list(got) == [(s.lut_address, s.lut_output,
-                                  s.accumulator_after) for s in ref.steps]
+            assert {k: v[n, m, t].tolist() for k, v in tr.items()} == ref
 
 
 @pytest.mark.parametrize("scheme", [Scheme.A, Scheme.B])

@@ -79,6 +79,12 @@ def test_ens_is_linear():
     assert ens(both) == pytest.approx(ens(a) + ens(b))
 
 
+@pytest.mark.parametrize("luts", ["many", True, None])
+def test_resource_report_rejects_non_numbers(luts):
+    with pytest.raises(ValueError, match="numbers"):
+        ResourceReport(luts=luts)
+
+
 def test_validation():
     with pytest.raises(ValueError):
         ResourceReport(luts=-1)

@@ -209,6 +209,17 @@ def test_bundle_rejects_malformed_manifest(tmp_path, drop):
         load_weight_bundle(tmp_path / "w")
 
 
+@pytest.mark.parametrize("key", ["05", " 5", "5 ", "-1", "+5", "5_0"])
+def test_bundle_rejects_non_canonical_layer_key(tmp_path, key):
+    """int() reads "05", " 5" and "+5" as 5, so an alias would silently
+    replace layer 5."""
+    manifest = _saved_manifest(tmp_path)
+    manifest["layers"][key] = manifest["layers"]["0"]
+    (tmp_path / "w" / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(BundleError, match="layer key"):
+        load_weight_bundle(tmp_path / "w")
+
+
 @pytest.mark.parametrize("shift", [-1, 64])
 def test_bundle_rejects_shift_outside_0_63(tmp_path, shift):
     manifest = _saved_manifest(tmp_path)
