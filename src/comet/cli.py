@@ -232,8 +232,8 @@ def cmd_metrics(args) -> int:
         dsps=blob.get("dsps", 0), brams=blob.get("brams", 0),
         power_w=blob.get("power_w"))
     tmac, fclk = blob.get("t_mac_gops"), blob.get("f_clk")
-    if not all(metrics.is_real(v) and v > 0 for v in (tmac, fclk)):
-        raise ValueError("positive --tmac and --fclk are required")
+    if not all(metrics.is_number(v) and v > 0 for v in (tmac, fclk)):
+        raise ValueError("positive, finite --tmac and --fclk are required")
     e = metrics.ens_rounded(r)
     row = {"ens": e, "ens_exact": round(metrics.ens(r), 1),
            "aep": round(metrics.aep(tmac * 1e9, fclk, e), 3)}

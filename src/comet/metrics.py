@@ -5,13 +5,15 @@ Built-in constants reproduce the six proposed-design columns of the
 published comparison table for regression.
 """
 
+import math
 from dataclasses import dataclass
 from numbers import Real
 
 
-def is_real(value) -> bool:
-    """True for a real number; a bool (JSON `true`) is not one."""
-    return isinstance(value, Real) and not isinstance(value, bool)
+def is_number(value) -> bool:
+    """True for a finite real number; a bool (JSON `true`) is not one."""
+    return (isinstance(value, Real) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 @dataclass(frozen=True)
@@ -24,13 +26,14 @@ class ResourceReport:
 
     def __post_init__(self):
         counts = (self.luts, self.ffs, self.dsps, self.brams)
-        if not all(map(is_real, counts)):
-            raise ValueError(f"resource counts must be numbers, got {counts}")
+        if not all(map(is_number, counts)):
+            raise ValueError(f"resource counts must be finite numbers, "
+                             f"got {counts}")
         if min(counts) < 0:
             raise ValueError("resource counts must be nonnegative")
-        if self.power_w is not None and not (is_real(self.power_w)
+        if self.power_w is not None and not (is_number(self.power_w)
                                              and self.power_w >= 0):
-            raise ValueError("power must be a nonnegative number")
+            raise ValueError("power must be a nonnegative finite number")
 
 
 def throughput_mac(k: int, l: int, b: int, f_clk: float) -> float:

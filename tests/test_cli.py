@@ -228,6 +228,8 @@ _REPORTS = ['[1, 2]',
     ["addrgen", "--preset", "lenet5m:conv1", "--dump", "F/x.csv"],
     ["infer", "--dump-trace", "F/traces"],
     ["lut-cost", "--k", "16", "--p", "3"],               # q defaults to 4
+    ["metrics", "--lut", "100", "--tmac", "inf", "--fclk", "1e8"],
+    ["metrics", "--lut", "100", "--tmac", "0.2", "--fclk", "inf"],
 ], ids=lambda argv: " ".join(argv))
 def test_rejected_input_exits_usage(capsys, tmp_path, argv):
     """Any rejected value or unusable path gives one `error:` line and exit

@@ -79,7 +79,8 @@ def test_ens_is_linear():
     assert ens(both) == pytest.approx(ens(a) + ens(b))
 
 
-@pytest.mark.parametrize("luts", ["many", True, None])
+@pytest.mark.parametrize("luts", ["many", True, None, float("nan"),
+                                  float("inf")])
 def test_resource_report_rejects_non_numbers(luts):
     with pytest.raises(ValueError, match="numbers"):
         ResourceReport(luts=luts)
