@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .fxp import FxpFormat
-from .gemm_core import GemmConfig, gemm_cycles, gemm_obc, im2col
+from .gemm_core import GemmConfig, as_int64, gemm_cycles, gemm_obc, im2col
 from .im2col_addr import LayerConfigWord
 
 
@@ -183,7 +183,7 @@ def _walk(model: ModelSpec, weights, x: np.ndarray, matmul) -> list:
     activation are applied here the same way for every caller.
     """
     _check_weights(model, weights)
-    act = np.asarray(x, dtype=np.int64)
+    act = as_int64(x, "inputs")
     fmt_in = FxpFormat(model.b1)
     if act.min() < fmt_in.min_value or act.max() > fmt_in.max_value:
         raise ValueError("input exceeds the activation format")
@@ -193,8 +193,8 @@ def _walk(model: ModelSpec, weights, x: np.ndarray, matmul) -> list:
             act = _gap(act)
         else:
             lw = weights[i]
-            y = matmul(lay, act, np.asarray(lw.weight, dtype=np.int64),
-                       np.asarray(lw.bias, dtype=np.int64))
+            y = matmul(lay, act, as_int64(lw.weight, "weights"),
+                       as_int64(lw.bias, "biases"))
             shift = getattr(lw, "shift", lay.shift)
             act = _apply_act(requantize(y, shift, model.b1), lay.act)
         outputs.append(act)
@@ -239,6 +239,9 @@ def infer_oracle(model: ModelSpec, weights, x: np.ndarray) -> list[int]:
 def conv_direct(x: np.ndarray, w: np.ndarray, bias: np.ndarray,
                 cfg: LayerConfigWord) -> np.ndarray:
     """Nested sliding-window convolution (no im2col, no GEMM)."""
+    if np.shape(x) != (cfg.c, cfg.h, cfg.w):
+        raise ValueError(f"input shape {np.shape(x)} != "
+                         f"{(cfg.c, cfg.h, cfg.w)}")
     if cfg.p:
         x = np.pad(x, ((0, 0), (0, cfg.p), (0, cfg.p)))
     ho, wo = cfg.h_out, cfg.w_out

@@ -14,10 +14,9 @@ once.
 """
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .fxp import FxpFormat
 from .im2col_addr import LayerConfigWord
@@ -50,21 +49,51 @@ class GemmConfig:
         return self.b1 if self.scheme is Scheme.A else self.b2
 
 
+def as_int64(a, what: str) -> np.ndarray:
+    """`a` as an int64 array; ValueError unless that equals `a` elementwise.
+
+    A plain cast would truncate 0.5 to 0 or wrap 2^64 - 1 to -1.
+    """
+    a = np.asarray(a)
+    if a.dtype == np.int64:
+        return a
+    try:
+        with np.errstate(invalid="ignore"):
+            out = a.astype(np.int64)
+    except (OverflowError, TypeError) as exc:
+        raise ValueError(f"{what} are not int64 integers") from exc
+    if not np.array_equal(out, a):
+        raise ValueError(f"{what} are not int64 integers")
+    return out
+
+
+@lru_cache(maxsize=64)
+def _im2col_map(cfg: LayerConfigWord) -> np.ndarray:
+    """Flat index into x (C, H, W) of each (position, patch entry): (M, Np).
+
+    A pad tap reads index c*h*w, one past x.  Built from the configuration
+    word alone, once per layer (the 64 most recent kept); read-only."""
+    oh, ow, ch, i, j = np.ix_(*map(np.arange, (cfg.h_out, cfg.w_out, cfg.c,
+                                               cfg.kh, cfg.kw)))
+    r, q = oh * cfg.s + i, ow * cfg.s + j
+    index = np.where((r < cfg.h) & (q < cfg.w), (ch * cfg.h + r) * cfg.w + q,
+                     cfg.c * cfg.h * cfg.w).reshape(-1, cfg.patch_len)
+    index.flags.writeable = False
+    return index
+
+
 def im2col(x: np.ndarray, cfg: LayerConfigWord) -> np.ndarray:
     """Flatten convolution patches of `x` (C, H, W) into an (Np, M) matrix.
 
     Column (oh, ow) holds the channel-major patch at that output position;
     one-sided zero padding extends the bottom/right edge when cfg.p == 1.
+    One gather through the layer's cached address map, the pad taps reading
+    a zero appended to x; the result is the transpose of an (M, Np) array.
     """
-    x = np.asarray(x)
+    x = as_int64(x, "inputs")
     if x.shape != (cfg.c, cfg.h, cfg.w):
         raise ValueError(f"input shape {x.shape} != {(cfg.c, cfg.h, cfg.w)}")
-    if cfg.p:
-        x = np.pad(x, ((0, 0), (0, cfg.p), (0, cfg.p)))
-    win = sliding_window_view(x, (cfg.kh, cfg.kw), axis=(1, 2))
-    win = win[:, ::cfg.s, ::cfg.s][:, :cfg.h_out, :cfg.w_out]  # (C,Ho,Wo,kh,kw)
-    return win.transpose(0, 3, 4, 1, 2).reshape(cfg.patch_len, -1) \
-        .astype(np.int64)
+    return np.append(x, 0)[_im2col_map(cfg)].T
 
 
 def gemm_oracle(theta: np.ndarray, xcols: np.ndarray,
@@ -110,10 +139,11 @@ def gemm_obc(theta: np.ndarray, xcols: np.ndarray, bias: np.ndarray,
     tile's offset and slices add at most 2^B_serial * sum|coefficients|,
     plus the doubled bias).  A call whose bound reaches 2^63 raises
     ValueError; every B1 <= 16, B2 = 8 LeNet layer is far inside it.
+    Operands of any dtype must equal their int64 cast (ValueError for 0.5
+    or a uint64 past 2^63).
     """
-    theta = np.asarray(theta, dtype=np.int64)
-    xcols = np.asarray(xcols, dtype=np.int64)
-    bias = np.asarray(bias, dtype=np.int64)
+    theta, xcols, bias = (as_int64(a, what) for a, what in (
+        (theta, "weights"), (xcols, "inputs"), (bias, "biases")))
     if theta.ndim != 2 or xcols.ndim != 2 or theta.shape[1] != xcols.shape[0]:
         raise ValueError("theta (N,Np) and xcols (Np,M) shapes inconsistent")
     n_out, patch_len = theta.shape
@@ -139,11 +169,10 @@ def gemm_obc(theta: np.ndarray, xcols: np.ndarray, bias: np.ndarray,
 
 def _gemm_vectorized(theta, xcols, bias, cfg, record):
     """One table kernel for both schemes; Scheme B swaps the operands."""
-    kq, q = padded_layout(cfg.k_hw)
     # naive stays on the parallel layout: a dense 2^k_hw table per column
     # would not fit in memory for Scheme B
-    kind = PARALLEL if cfg.arch == "naive" else cfg.arch
-    fields = tuple(field_layout(kind, kq, q))
+    kq, fields = _layout(PARALLEL if cfg.arch == "naive" else cfg.arch,
+                         cfg.k_hw)
     w_rows, x_rows = (_tiled(rows, cfg.k_hw, kq) for rows in (theta, xcols.T))
     k_hw = cfg.k_hw if record else None
     if cfg.scheme is Scheme.A:
@@ -158,6 +187,13 @@ def _gemm_vectorized(theta, xcols, bias, cfg, record):
     if record:                  # a zero-length patch has no last tile
         trace["accumulator"][:, :, -1:] += 2 * bias[:, None, None, None]
     return y2 >> 1, trace
+
+
+@cache
+def _layout(kind, k_hw):
+    """(padded tile width, `field_layout` as a tuple) of a k_hw-wide tile."""
+    kq, q = padded_layout(k_hw)
+    return kq, tuple(field_layout(kind, kq, q))
 
 
 @cache

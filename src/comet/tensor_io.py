@@ -193,20 +193,30 @@ def save_weight_bundle(bundle: WeightBundle, model, directory) -> None:
         json.dumps(manifest, indent=2, sort_keys=True))
 
 
+def _unique_keys(pairs: list) -> dict:
+    """JSON object hook: a repeated key would silently replace the first."""
+    keys = [key for key, _ in pairs]
+    if len(set(keys)) != len(keys):
+        raise BundleError(f"manifest repeats a key among {keys}")
+    return dict(pairs)
+
+
 def load_weight_bundle(directory) -> WeightBundle:
     """Read a bundle written by save_weight_bundle.
 
-    Raises BundleError when the manifest is not JSON, lacks `layers` or a
-    layer's `weight`/`bias`/`shift`, has a layer key that is not a
-    canonical non-negative decimal ("5", not "05", " 5" or "+5"), has a
-    shift that is not a JSON integer in 0..63, or names a file that is not
-    a string or resolves outside the bundle directory.
+    Raises BundleError when the manifest is not JSON, repeats a key in one
+    object, lacks `layers` or a layer's `weight`/`bias`/`shift`, has a
+    layer key that is not a canonical non-negative decimal ("5", not "05",
+    " 5" or "+5"), has a shift that is not a JSON integer in 0..63, or
+    names a file that is not a string or resolves outside the bundle
+    directory.
     """
     directory = Path(directory).resolve()
     text = (directory / "manifest.json").read_text()
     try:
-        entries = {key: (e["weight"], e["bias"], e["shift"])
-                   for key, e in json.loads(text)["layers"].items()}
+        entries = {key: (e["weight"], e["bias"], e["shift"]) for key, e in
+                   json.loads(text, object_pairs_hook=_unique_keys)["layers"]
+                   .items()}
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise BundleError(f"malformed manifest.json: {exc!r}") from exc
     # an alias such as "05" would silently replace layer 5

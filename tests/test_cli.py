@@ -152,7 +152,7 @@ def test_infer_missing_input_file(capsys, tmp_path):
 @pytest.mark.parametrize("bad", ["outside", "not json", "shift 64",
                                  "shift 2.7", 'shift "3"', "shift true",
                                  "no layer 5", "extra layers 9 and 4",
-                                 "alias 05"])
+                                 "alias 05", "repeated 5"])
 def test_infer_rejects_bad_bundle(capsys, tmp_path, bad):
     model = build_modified_lenet5()
     save_weight_bundle(gen_weights(42, model, 8), model, tmp_path / "w")
@@ -180,6 +180,12 @@ def test_infer_rejects_bad_bundle(capsys, tmp_path, bad):
         doc = json.loads(manifest.read_text())
         doc["layers"]["05"] = dict(doc["layers"]["5"], shift=0)
         text = json.dumps(doc)
+    elif bad == "repeated 5":
+        # plain json.loads would keep this second "5" entry's shift
+        doc = json.loads(manifest.read_text())
+        second = json.dumps(dict(doc["layers"]["5"], shift=0))
+        text = manifest.read_text().replace('"6": {', f'"5": {second}, "6": {{',
+                                            1)
     else:
         text = "{not json"
     manifest.write_text(text)

@@ -207,6 +207,36 @@ def test_infer_validates_weights_and_input():
             run(model, WeightBundle(bad), gen_input(0, (1, 32, 32), 8))
 
 
+def test_infer_and_oracle_reject_input_of_another_shape():
+    """The oracle used to return the logits of a 40x40 image's top-left
+    32x32 crop."""
+    model = build_modified_lenet5()
+    w = gen_weights(0, model, 8)
+    x = gen_input(0, (1, 40, 40), 8)
+    for run in (lambda *args: infer(*args, CFG), infer_oracle):
+        with pytest.raises(ValueError, match="input shape"):
+            run(model, w, x)
+    with pytest.raises(ValueError, match="input shape"):
+        conv_direct(x, w[0].weight, w[0].bias, model.layers[0].cfg)
+
+
+def test_infer_rejects_non_integer_input_and_weights():
+    """int64 casts would truncate these to integers the oracle agrees on."""
+    model = build_modified_lenet5()
+    w = gen_weights(0, model, 8)
+    x = gen_input(0, (1, 32, 32), 8)
+    halved = WeightBundle({i: LayerWeights(lw.weight / 2, lw.bias, lw.shift)
+                           for i, lw in w.layers.items()})
+    for run in (lambda *args: infer(*args, CFG), infer_oracle):
+        with pytest.raises(ValueError, match="int64 integers"):
+            run(model, w, x + 0.4)
+        with pytest.raises(ValueError, match="int64 integers"):
+            run(model, halved, x)
+    want = infer_oracle(model, w, x)
+    assert infer(model, w, x.astype(float), CFG).logits == want
+    assert infer_oracle(model, w, x.astype(float)) == want
+
+
 @pytest.mark.parametrize("missing", [0, 5])
 def test_infer_rejects_missing_layer(missing):
     """A bundle without a conv or dense layer's weights is a ValueError,

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from comet.gemm_core import (
     GemmConfig,
+    _im2col_map,
     _layout_constants,
     _obc_kernel,
     gemm_cycles,
@@ -68,6 +69,66 @@ def test_im2col_stride_two():
     x = np.arange(9).reshape(1, 3, 3)
     cols = im2col(x, cfg)
     assert (cols[0] == [0, 2, 6, 8]).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
+       st.sampled_from([1, 2]), st.sampled_from([0, 1]), st.integers(1, 6),
+       st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+def test_im2col_equals_element_loop(c, kh, kw, s, p, h, w, seed):
+    """Every entry, pad taps included, against a per-element Python loop."""
+    try:
+        cfg = LayerConfigWord(c=c, kh=kh, kw=kw, s=s, p=p, n=1, b=8, h=h, w=w)
+    except ValueError:          # the kernel does not fit the input
+        return
+    x = _rand((c, h, w), 8, seed)
+    want = np.zeros((cfg.patch_len, cfg.h_out * cfg.w_out), dtype=np.int64)
+    for ci in range(c):
+        for i in range(kh):
+            for j in range(kw):
+                for oh in range(cfg.h_out):
+                    for ow in range(cfg.w_out):
+                        r, q = oh * s + i, ow * s + j
+                        if r < h and q < w:
+                            want[(ci * kh + i) * kw + j, oh * cfg.w_out + ow] \
+                                = x[ci, r, q]
+    got = im2col(x, cfg)
+    assert got.dtype == np.int64 and got.shape == want.shape
+    assert (got == want).all()
+
+
+def test_im2col_map_is_read_only():
+    cfg = LayerConfigWord(c=2, kh=3, kw=2, s=2, p=1, n=1, b=8, h=5, w=4)
+    assert _im2col_map(cfg) is _im2col_map(cfg)
+    assert not _im2col_map(cfg).flags.writeable
+    x = _rand((2, 5, 4), 8)
+    first = im2col(x, cfg)
+    want = first.copy()
+    first[...] = 99
+    assert (im2col(x, cfg) == want).all()
+
+
+def test_non_integer_operands_are_rejected():
+    """A cast to int64 would truncate 0.5 + 1.9 to 1 or wrap 2^64 - 1 to -1."""
+    cfg = GemmConfig()
+    with pytest.raises(ValueError, match="int64 integers"):
+        gemm_obc([[0.5, 1.9]], [[1], [1]], [0], cfg)
+    with pytest.raises(ValueError, match="int64 integers"):
+        gemm_obc([[1]], [[0.5]], [0], cfg)
+    with pytest.raises(ValueError, match="int64 integers"):
+        gemm_obc([[1]], [[1]], [np.nan], cfg)
+    with pytest.raises(ValueError, match="int64 integers"):
+        gemm_obc(np.array([[2 ** 64 - 1]], dtype=np.uint64), [[1]], [0], cfg)
+    with pytest.raises(ValueError, match="int64 integers"):
+        gemm_obc([[2 ** 70]], [[1]], [0], cfg)
+    im2col_cfg = LayerConfigWord(c=1, kh=1, kw=1, s=1, p=0, n=1, b=8, h=1, w=2)
+    with pytest.raises(ValueError, match="int64 integers"):
+        im2col(np.array([[[1, 2.5]]]), im2col_cfg)
+    # integral values of any dtype pass unchanged
+    y, _, _ = gemm_obc(np.array([[1.0, 2.0]]), np.array([[3], [4]], np.uint8),
+                       np.array([-1], np.int8), cfg)
+    assert y.tolist() == [[10]]
+    assert im2col(np.array([[[1.0, -2.0]]]), im2col_cfg).tolist() == [[1, -2]]
 
 
 # -- PISO -----------------------------------------------------------------

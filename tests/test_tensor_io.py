@@ -220,6 +220,18 @@ def test_bundle_rejects_non_canonical_layer_key(tmp_path, key):
         load_weight_bundle(tmp_path / "w")
 
 
+def test_bundle_rejects_repeated_key(tmp_path):
+    """Plain json.loads keeps the last of two "5" entries without a word."""
+    manifest = _saved_manifest(tmp_path)
+    first = json.dumps(dict(manifest["layers"]["5"], shift=0))
+    text = json.dumps(manifest).replace('"layers": {',
+                                        f'"layers": {{"5": {first}, ', 1)
+    assert json.loads(text)["layers"]["5"]["shift"] != 0
+    (tmp_path / "w" / "manifest.json").write_text(text)
+    with pytest.raises(BundleError, match="repeats a key"):
+        load_weight_bundle(tmp_path / "w")
+
+
 @pytest.mark.parametrize("shift", [-1, 64])
 def test_bundle_rejects_shift_outside_0_63(tmp_path, shift):
     manifest = _saved_manifest(tmp_path)
