@@ -69,10 +69,8 @@ def as_int64(a, what: str) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _im2col_map(cfg: LayerConfigWord) -> np.ndarray:
-    """Flat index into x (C, H, W) of each (position, patch entry): (M, Np).
-
-    A pad tap reads index c*h*w, one past x.  Built from the configuration
-    word alone, once per layer (the 64 most recent kept); read-only."""
+    """Read-only (M, Np) flat indices into x, c*h*w (one past x) for a pad
+    tap: built from the configuration word alone, once per layer."""
     oh, ow, ch, i, j = np.ix_(*map(np.arange, (cfg.h_out, cfg.w_out, cfg.c,
                                                cfg.kh, cfg.kw)))
     r, q = oh * cfg.s + i, ow * cfg.s + j

@@ -195,10 +195,10 @@ def save_weight_bundle(bundle: WeightBundle, model, directory) -> None:
 
 def _unique_keys(pairs: list) -> dict:
     """JSON object hook: a repeated key would silently replace the first."""
-    keys = [key for key, _ in pairs]
-    if len(set(keys)) != len(keys):
-        raise BundleError(f"manifest repeats a key among {keys}")
-    return dict(pairs)
+    out = dict(pairs)
+    if len(out) != len(pairs):
+        raise BundleError(f"manifest repeats a key among {list(out)}")
+    return out
 
 
 def load_weight_bundle(directory) -> WeightBundle:
@@ -214,9 +214,9 @@ def load_weight_bundle(directory) -> WeightBundle:
     directory = Path(directory).resolve()
     text = (directory / "manifest.json").read_text()
     try:
-        entries = {key: (e["weight"], e["bias"], e["shift"]) for key, e in
-                   json.loads(text, object_pairs_hook=_unique_keys)["layers"]
-                   .items()}
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
+        entries = {key: (e["weight"], e["bias"], e["shift"])
+                   for key, e in doc["layers"].items()}
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise BundleError(f"malformed manifest.json: {exc!r}") from exc
     # an alias such as "05" would silently replace layer 5
