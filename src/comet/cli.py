@@ -289,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b1", type=_bit_width, default=8)
     p.add_argument("--b2", type=_bit_width, default=8)
     p.add_argument("--scheme", default="A", choices=("A", "B"))
-    p.add_argument("--arch", default="hybrid", choices=KINDS + ("naive",))
+    p.add_argument("--arch", default="hybrid", choices=KINDS)
     p.add_argument("--k-hw", type=_positive_int, default=16)
     p.add_argument("--l", dest="lanes", type=_positive_int, default=10)
     p.add_argument("--weights", help="weight bundle directory")

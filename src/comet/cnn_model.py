@@ -17,8 +17,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .fxp import FxpFormat
-from .gemm_core import GemmConfig, as_int64, gemm_cycles, gemm_obc, im2col
+from .fxp import FxpFormat, as_int64
+from .gemm_core import GemmConfig, check_operands, gemm_cycles, gemm_obc, \
+    im2col
 from .im2col_addr import LayerConfigWord
 
 
@@ -117,12 +118,12 @@ def requantize(acc: np.ndarray, shift: int, b1: int) -> np.ndarray:
     magnitude is unsigned, so nothing overflows."""
     if not 0 <= shift <= 63:
         raise ValueError(f"requantize shift {shift} outside 0..63")
-    acc = np.asarray(acc, dtype=np.int64)
+    acc = as_int64(acc, "accumulators")
     if shift > 0:
         mag = ((np.abs(acc).astype(np.uint64) >> (shift - 1)) + 1) >> 1
         acc = np.sign(acc) * mag.astype(np.int64)
     fmt = FxpFormat(b1)
-    return np.clip(acc, fmt.min_value, fmt.max_value)
+    return np.minimum(np.maximum(acc, fmt.min_value), fmt.max_value)
 
 
 def _apply_act(y: np.ndarray, act: str | None) -> np.ndarray:
@@ -150,9 +151,8 @@ class InferResult:
 
 def _check_weights(model: ModelSpec, weights) -> None:
     """Reject missing layers, weights keyed by an index that is not a conv
-    or dense layer, bad shapes, values outside B2 bits, and any layer whose
-    sums could leave int64: |sum| <= patch_len * 2^(B1+B2-2) + 2^(B2-1)."""
-    fmt = FxpFormat(model.b2)
+    or dense layer, and shapes other than the layer's; each layer's product
+    checks the values (`check_operands`)."""
     gemm = [i for i, lay in enumerate(model.layers) if lay.kind != "gap"]
     extra = [i for i in weights if i not in gemm]
     if extra:
@@ -165,36 +165,24 @@ def _check_weights(model: ModelSpec, weights) -> None:
         if (lw.weight.shape != lay.weight_shape
                 or lw.bias.shape != lay.out_shape[:1]):
             raise ValueError(f"layer {i} weight/bias shape mismatch")
-        if any(a.size and (a.min() < fmt.min_value or a.max() > fmt.max_value)
-               for a in (lw.weight, lw.bias)):
-            raise ValueError(f"layer {i} weights or biases exceed the "
-                             f"{model.b2}-bit format")
-        if ((lay.patch_len << (model.b1 + model.b2 - 2))
-                + (1 << (model.b2 - 1)) >= 1 << 63):
-            raise ValueError(f"layer {i}: a {lay.patch_len}-long patch at "
-                             f"B1={model.b1}, B2={model.b2} can overflow int64")
 
 
 def _walk(model: ModelSpec, weights, x: np.ndarray, matmul) -> list:
     """Run every layer and return each layer's output.
 
-    `matmul(layer, act, weight, bias)` gives a conv or dense layer's
-    accumulators in `layer.out_shape`; pooling, requantization and the
-    activation are applied here the same way for every caller.
+    `matmul(layer, act, weight, bias)` checks a conv or dense layer's
+    operands and gives its accumulators in `layer.out_shape`; pooling,
+    requantization and the activation are the same for every caller.
     """
     _check_weights(model, weights)
-    act = as_int64(x, "inputs")
-    fmt_in = FxpFormat(model.b1)
-    if act.min() < fmt_in.min_value or act.max() > fmt_in.max_value:
-        raise ValueError("input exceeds the activation format")
+    act = FxpFormat(model.b1).check(x, "inputs")
     outputs = []
     for i, lay in enumerate(model.layers):
         if lay.kind == "gap":
             act = _gap(act)
         else:
             lw = weights[i]
-            y = matmul(lay, act, as_int64(lw.weight, "weights"),
-                       as_int64(lw.bias, "biases"))
+            y = matmul(lay, act, lw.weight, lw.bias)
             shift = getattr(lw, "shift", lay.shift)
             act = _apply_act(requantize(y, shift, model.b1), lay.act)
         outputs.append(act)
@@ -227,11 +215,14 @@ def infer(model: ModelSpec, weights, x: np.ndarray, gemm_cfg: GemmConfig,
 
 
 def infer_oracle(model: ModelSpec, weights, x: np.ndarray) -> list[int]:
-    """Direct sliding-window / dense evaluation with identical rescaling."""
+    """Direct sliding-window / dense evaluation with identical rescaling,
+    admitting exactly the operands `gemm_obc` admits (`check_operands`)."""
     def matmul(lay, act, w, b):
+        theta, act, b = check_operands(w.reshape(len(w), -1), act, b,
+                                       model.b1, model.b2)
         if lay.kind == "conv":
-            return conv_direct(act, w, b, lay.cfg)
-        return w @ act.reshape(-1) + b
+            return conv_direct(act, theta.reshape(w.shape), b, lay.cfg)
+        return theta @ act.reshape(-1) + b
 
     return [int(v) for v in _walk(model, weights, x, matmul)[-1]]
 

@@ -12,6 +12,26 @@ which downstream code exploits to keep every intermediate an exact integer.
 
 from dataclasses import dataclass
 
+import numpy as np
+
+
+def as_int64(a, what: str) -> np.ndarray:
+    """`a` as an int64 array; ValueError unless that equals `a` elementwise.
+
+    A plain cast would truncate 0.5 to 0 or wrap 2^64 - 1 to -1.
+    """
+    a = np.asarray(a)
+    if a.dtype == np.int64:
+        return a
+    try:
+        with np.errstate(invalid="ignore"):
+            out = a.astype(np.int64)
+    except (OverflowError, TypeError) as exc:
+        raise ValueError(f"{what} are not int64 integers") from exc
+    if not np.array_equal(out, a):
+        raise ValueError(f"{what} are not int64 integers")
+    return out
+
 
 @dataclass(frozen=True)
 class FxpFormat:
@@ -33,3 +53,10 @@ class FxpFormat:
 
     def contains(self, value: int) -> bool:
         return self.min_value <= value <= self.max_value
+
+    def check(self, a, what: str) -> np.ndarray:
+        """`a` through `as_int64`; ValueError unless every value fits."""
+        a = as_int64(a, what)
+        if a.size and (a.min() < self.min_value or a.max() > self.max_value):
+            raise ValueError(f"{what} exceed the {self.bits}-bit format")
+        return a

@@ -18,9 +18,9 @@ from functools import cache, lru_cache
 
 import numpy as np
 
-from .fxp import FxpFormat
+from .fxp import FxpFormat, as_int64
 from .im2col_addr import LayerConfigWord
-from .lut_arch import HYBRID, KINDS, PARALLEL, field_entries, field_layout, \
+from .lut_arch import HYBRID, KINDS, field_entries, field_layout, \
     mirror_read, padded_layout
 from .obc_ipc import Scheme
 # unused here: bench/tracing.py patches these names on this module
@@ -34,14 +34,14 @@ class GemmConfig:
     k_hw: int = 16
     l: int = 10
     scheme: Scheme = Scheme.A
-    arch: str = HYBRID          # a LUT technique or "naive"
+    arch: str = HYBRID          # a LUT technique
     b1: int = 8
     b2: int = 8
 
     def __post_init__(self):
         if self.k_hw < 1 or self.l < 1:
             raise ValueError("k_hw and l must be positive")
-        if self.arch not in KINDS + ("naive",):
+        if self.arch not in KINDS:
             raise ValueError(f"unknown LUT technique {self.arch!r}")
 
     @property
@@ -49,22 +49,28 @@ class GemmConfig:
         return self.b1 if self.scheme is Scheme.A else self.b2
 
 
-def as_int64(a, what: str) -> np.ndarray:
-    """`a` as an int64 array; ValueError unless that equals `a` elementwise.
+def check_operands(theta, x, bias, b1: int, b2: int):
+    """One layer's operands through `FxpFormat.check`: (N, patch_len)
+    weights and (N,) biases of B2 bits, inputs of any shape of B1 bits;
+    ValueError otherwise, or when the layer's sums could leave int64.
 
-    A plain cast would truncate 0.5 to 0 or wrap 2^64 - 1 to -1.
+    The datapath accumulates in the doubled domain, where every partial sum
+    is bounded by patch_len * 2^(B1 + B2 - 1) + 2^B2 (each tile's offset and
+    slices add at most 2^B_serial * sum|coefficients|, plus the doubled
+    bias); a layer whose bound reaches 2^63 is rejected.  Every B1 <= 16,
+    B2 = 8 LeNet layer is far inside it.  `gemm_obc` and the oracle path
+    both admit exactly what this admits.
     """
-    a = np.asarray(a)
-    if a.dtype == np.int64:
-        return a
-    try:
-        with np.errstate(invalid="ignore"):
-            out = a.astype(np.int64)
-    except (OverflowError, TypeError) as exc:
-        raise ValueError(f"{what} are not int64 integers") from exc
-    if not np.array_equal(out, a):
-        raise ValueError(f"{what} are not int64 integers")
-    return out
+    fmt_in, fmt_wt = FxpFormat(b1), FxpFormat(b2)
+    theta, bias = fmt_wt.check(theta, "weights"), fmt_wt.check(bias, "biases")
+    x = fmt_in.check(x, "inputs")
+    if theta.ndim != 2 or bias.shape != theta.shape[:1]:
+        raise ValueError("weights must be (N, patch_len) and biases (N,)")
+    patch_len = theta.shape[1]
+    if (patch_len << (b1 + b2 - 1)) + (1 << b2) >= 1 << 63:
+        raise ValueError(f"a {patch_len}-long patch at B1={b1}, "
+                         f"B2={b2} can overflow the int64 accumulator")
+    return theta, x, bias
 
 
 @lru_cache(maxsize=64)
@@ -111,10 +117,10 @@ def gemm_cycles(n: int, m: int, patch_len: int, cfg: GemmConfig) -> int:
     return m * tiles * cfg.serial_bits * (-(-n // cfg.l))
 
 
-def _tiled(rows: np.ndarray, k_hw: int, width=None) -> np.ndarray:
-    """(R, patch_len) -> (R, tiles, width or k_hw), zeros after values."""
+def _tiled(rows: np.ndarray, k_hw: int, width: int) -> np.ndarray:
+    """(R, patch_len) -> (R, tiles, width), zeros after values."""
     r, full = len(rows), rows.shape[1] // k_hw
-    out = np.zeros((r, -(-rows.shape[1] // k_hw), width or k_hw), rows.dtype)
+    out = np.zeros((r, -(-rows.shape[1] // k_hw), width), rows.dtype)
     out[:, :full, :k_hw] = rows[:, :full * k_hw].reshape(r, full, k_hw)
     out[:, full:, :rows.shape[1] - full * k_hw] = rows[:, None, full * k_hw:]
     return out
@@ -132,45 +138,16 @@ def gemm_obc(theta: np.ndarray, xcols: np.ndarray, bias: np.ndarray,
     shape (N, M, tiles, B_serial), LSB slice first.  Addresses are int64,
     so recording needs k_hw <= 63.
 
-    The kernel accumulates in int64 in the doubled domain, where every
-    partial sum is bounded by patch_len * 2^(B1 + B2 - 1) + 2^B2 (each
-    tile's offset and slices add at most 2^B_serial * sum|coefficients|,
-    plus the doubled bias).  A call whose bound reaches 2^63 raises
-    ValueError; every B1 <= 16, B2 = 8 LeNet layer is far inside it.
-    Operands of any dtype must equal their int64 cast (ValueError for 0.5
-    or a uint64 past 2^63).
+    Operands pass `check_operands` (formats, shapes and int64 headroom);
+    one table kernel serves both schemes, Scheme B swapping the operands.
     """
-    theta, xcols, bias = (as_int64(a, what) for a, what in (
-        (theta, "weights"), (xcols, "inputs"), (bias, "biases")))
-    if theta.ndim != 2 or xcols.ndim != 2 or theta.shape[1] != xcols.shape[0]:
+    theta, xcols, bias = check_operands(theta, xcols, bias, cfg.b1, cfg.b2)
+    if xcols.ndim != 2 or theta.shape[1] != xcols.shape[0]:
         raise ValueError("theta (N,Np) and xcols (Np,M) shapes inconsistent")
-    n_out, patch_len = theta.shape
-    m_out = xcols.shape[1]
-    if bias.shape != (n_out,):
-        raise ValueError("bias must have one entry per output row")
-    fmt_in, fmt_wt = FxpFormat(cfg.b1), FxpFormat(cfg.b2)
-    for a, fmt, what in ((theta, fmt_wt, "weights"), (bias, fmt_wt, "biases"),
-                         (xcols, fmt_in, "inputs")):
-        if a.size and not (a.min() >= fmt.min_value
-                           and a.max() <= fmt.max_value):
-            raise ValueError(f"{what} exceed the {fmt.bits}-bit format")
-    if (patch_len << (cfg.b1 + cfg.b2 - 1)) + (1 << cfg.b2) >= 1 << 63:
-        raise ValueError(f"a {patch_len}-long patch at B1={cfg.b1}, "
-                         f"B2={cfg.b2} can overflow the int64 accumulator")
-
     if record and cfg.k_hw > 63:
         raise ValueError(f"trace addresses are int64: recording needs "
                          f"k_hw <= 63, got {cfg.k_hw}")
-    y, traces = _gemm_vectorized(theta, xcols, bias, cfg, record)
-    return y, gemm_cycles(n_out, m_out, patch_len, cfg), traces
-
-
-def _gemm_vectorized(theta, xcols, bias, cfg, record):
-    """One table kernel for both schemes; Scheme B swaps the operands."""
-    # naive stays on the parallel layout: a dense 2^k_hw table per column
-    # would not fit in memory for Scheme B
-    kq, fields = _layout(PARALLEL if cfg.arch == "naive" else cfg.arch,
-                         cfg.k_hw)
+    kq, fields = _layout(cfg.arch, cfg.k_hw)
     w_rows, x_rows = (_tiled(rows, cfg.k_hw, kq) for rows in (theta, xcols.T))
     k_hw = cfg.k_hw if record else None
     if cfg.scheme is Scheme.A:
@@ -184,7 +161,8 @@ def _gemm_vectorized(theta, xcols, bias, cfg, record):
     assert not np.any(y2 & 1), "doubled-domain result must be even"
     if record:                  # a zero-length patch has no last tile
         trace["accumulator"][:, :, -1:] += 2 * bias[:, None, None, None]
-    return y2 >> 1, trace
+    cycles = gemm_cycles(len(theta), xcols.shape[1], theta.shape[1], cfg)
+    return y2 >> 1, cycles, trace
 
 
 @cache

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fxp import as_int64
+
 
 @dataclass(frozen=True)
 class LayerConfigWord:
@@ -225,7 +227,7 @@ def gather_stream(cfg: LayerConfigWord, x, k_hw: int):
     padding or tile tail).  `cycles` lists the (cycle, events) pairs of
     `run_layer`.
     """
-    flat = np.asarray(x).reshape(-1)
+    flat = as_int64(x, "inputs").reshape(-1)
     cycles = list(run_layer(cfg, k_hw))
     stream = [flat[ev.addr] if ev.kind == "read_x" else 0
               for _, events in cycles for ev in events

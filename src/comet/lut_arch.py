@@ -76,9 +76,6 @@ class StructTrace:
     def __getitem__(self, name: str) -> int:
         return self.nodes[name]
 
-    def names(self) -> list[str]:
-        return sorted(self.nodes)
-
 
 def padded_layout(k: int, q: int | None = None) -> tuple[int, int]:
     """Pick (padded length, group size) for a coefficient vector of length k."""

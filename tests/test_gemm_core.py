@@ -21,7 +21,7 @@ from comet.obc_ipc import IpcProblem, Scheme, build_naive_lut, ipc_obc, \
     piso_schedule
 from comet.tensor_io import SplitMix64
 
-ARCHS = ("parallel", "shared", "split", "hybrid", "naive")
+ARCHS = ("parallel", "shared", "split", "hybrid")
 
 
 def _rand(shape, bits, seed=0):
@@ -243,11 +243,10 @@ def test_gemm_at_largest_slice_weight(scheme, arch):
     assert (y == gemm_oracle(theta, x, bias)).all()
     # the kernel's tables (sign-matrix product) are PreparedLut's, here
     # at 32-bit coefficients with entries up to 2^33
-    kind = "parallel" if arch == "naive" else arch
     coeffs = [-(1 << 31)] * 5 + _rand((3,), 32, seed=64).tolist()
     kq, q = padded_layout(len(coeffs))
-    signs = _layout_constants(tuple(field_layout(kind, kq, q)), kq)[0]
-    want = np.concatenate(PreparedLut(kind, coeffs).tables)
+    signs = _layout_constants(tuple(field_layout(arch, kq, q)), kq)[0]
+    want = np.concatenate(PreparedLut(arch, coeffs).tables)
     assert ((np.array(coeffs) @ signs).astype(np.int64) == want).all()
 
 
@@ -374,7 +373,7 @@ def test_bias_joins_last_tile_only():
     theta = _rand((2, 8), 8, seed=51)
     x = _rand((8, 2), 8, seed=52)
     bias = np.array([37, -19])
-    cfg = GemmConfig(k_hw=4, l=1, scheme=Scheme.A, arch="naive")
+    cfg = GemmConfig(k_hw=4, l=1, scheme=Scheme.A, arch="parallel")
     _, _, tr = gemm_obc(theta, x, bias, cfg, record=True)
     # each (n, m, tile) accumulator's start: the LSB slice adds lut << 0
     init = tr["accumulator"][..., 0] - tr["lut_output"][..., 0]
@@ -410,8 +409,9 @@ def test_gemm_validation():
                  GemmConfig(k_hw=64), record=True)
     with pytest.raises(ValueError):
         GemmConfig(k_hw=0)
-    with pytest.raises(ValueError):
-        GemmConfig(arch="bogus")
+    for arch in ("bogus", "naive"):     # the dense table is verify's alone
+        with pytest.raises(ValueError):
+            GemmConfig(arch=arch)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,5 +1,6 @@
-"""Source hygiene: every import in the package modules is used, and the
-CLI's commands leave error handling to `main`."""
+"""Source hygiene: every import in the package modules is used, the CLI's
+commands leave error handling to `main`, and no function casts a caller's
+value to int64 past `as_int64`."""
 
 import ast
 from pathlib import Path
@@ -68,3 +69,62 @@ def test_command_try_check_sees_nested_try():
            "def main():\n    try:\n        cmd_c()\n    except ValueError:\n"
            "        pass\n")
     assert commands_with_try(src) == ["cmd_a", "cmd_b"]
+
+
+def _is_int64(node) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == "int64"
+            or isinstance(node, ast.Constant) and node.value == "int64")
+
+
+def int64_casts_of_parameters(source: str) -> list[str]:
+    """Casts of a function's own parameter to int64 outside `as_int64`.
+
+    `np.asarray(p, dtype=np.int64)`, `np.array(p, np.int64)` and
+    `p.astype(np.int64)` truncate 0.5 to 0 and wrap 2^64 - 1 to -1 without
+    a word; a caller's value goes through `fxp.as_int64`, which rejects
+    both.  Arrays a function built itself may be cast freely.
+    """
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, ast.FunctionDef) or fn.name == "as_int64":
+            continue
+        a = fn.args
+        params = {p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                  a.vararg, a.kwarg) if p}
+        for call in ast.walk(fn):
+            if not (isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Attribute)):
+                continue
+            if call.func.attr == "astype":
+                target, dtypes = call.func.value, call.args[:1]
+            elif call.func.attr in ("asarray", "array") and call.args:
+                target = call.args[0]
+                dtypes = call.args[1:2] + [k.value for k in call.keywords
+                                           if k.arg == "dtype"]
+            else:
+                continue
+            if (isinstance(target, ast.Name) and target.id in params
+                    and any(map(_is_int64, dtypes))):
+                found.append((call.lineno, fn.name))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_int64_cast_of_a_parameter(path):
+    assert int64_casts_of_parameters(path.read_text()) == []
+
+
+def test_int64_cast_check_sees_parameter_casts_only():
+    src = ("import numpy as np\n"
+           "def f(a, *, b):\n"
+           "    return np.asarray(a, dtype=np.int64), b.astype(np.int64)\n"
+           "def g(c):\n"
+           "    return np.array(c, np.int64), c.astype('int64')\n"
+           "def as_int64(a, what):\n"
+           "    return a.astype(np.int64)\n"
+           "def h(a):\n"
+           "    local = np.zeros(3)\n"
+           "    return (local.astype(np.int64), np.asarray(a),\n"
+           "            a.astype(object), np.array(a[0], dtype=np.int64))\n")
+    assert int64_casts_of_parameters(src) == [
+        "line 3: f", "line 3: f", "line 5: g", "line 5: g"]

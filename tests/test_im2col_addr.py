@@ -2,6 +2,7 @@
 
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from comet.cnn_model import build_modified_lenet5
@@ -40,6 +41,13 @@ def test_stream_matches_im2col(cfg, k_hw):
     for ch in range(cfg.n):
         assert (got[ch, :, :cfg.patch_len] == ref.T).all()
         assert (got[ch, :, cfg.patch_len:] == 0).all()   # tile-tail zeros
+
+
+def test_gather_stream_rejects_non_integer_input():
+    """A cast read 0.5 as 0 and 1.9 as 1."""
+    cfg = LayerConfigWord(c=1, kh=1, kw=1, s=1, p=0, n=1, b=8, h=1, w=2)
+    with pytest.raises(ValueError, match="int64 integers"):
+        gather_stream(cfg, np.array([[[0.5, 1.9]]]), 4)
 
 
 @pytest.mark.parametrize("cfg", CONV_LAYERS, ids=lambda c: f"c{c.c}k{c.kh}s{c.s}")
