@@ -236,12 +236,12 @@ def conv_direct(x: np.ndarray, w: np.ndarray, bias: np.ndarray,
     if cfg.p:
         x = np.pad(x, ((0, 0), (0, cfg.p), (0, cfg.p)))
     ho, wo = cfg.h_out, cfg.w_out
-    out = np.zeros((cfg.n, ho, wo), dtype=np.int64)
+    out = np.zeros((cfg.n, ho * wo), dtype=np.int64)
     for k in range(cfg.kh):
         for l in range(cfg.kw):
             window = x[:, k:k + ho * cfg.s:cfg.s, l:l + wo * cfg.s:cfg.s]
-            out += np.tensordot(w[:, :, k, l], window, axes=(1, 0))
-    return out + bias[:, None, None]
+            out += w[:, :, k, l] @ window.reshape(cfg.c, ho * wo)
+    return out.reshape(cfg.n, ho, wo) + bias[:, None, None]
 
 
 def model_cycles(model: ModelSpec, gemm_cfg: GemmConfig) -> int:

@@ -3,18 +3,20 @@
 Matrix products are computed tile-by-tile through the offset-binary
 shift-accumulate datapath and must equal the direct integer GEMM oracle
 bit-exactly.  One vectorized kernel serves both schemes (Scheme B swaps
-the coefficient and serial operands and transposes the result); it builds
-every tile's full field tables (an entry per value of each field of
-`comet.lut_arch.field_layout`, mirrored reads folded in) by one product,
-counts the table reads of all bit-slices of a serial operand at once,
-with one bit mask per field value, and sums the reads in one exact
-float64 product.  With `record` set, it also returns the per-slice trace
-that :func:`comet.obc_ipc.ipc_obc` gives for one tile, for every tile at
-once.
+the coefficient and serial operands and transposes the result).  Its
+coefficient half builds every tile's full field tables (an entry per
+value of each field of `comet.lut_arch.field_layout`, mirrored reads
+folded in) by one product; its serial half counts the table reads of all
+bit-slices of a serial operand at once, with one bit mask per field
+value; one exact float64 product sums the reads.  The weights' half is
+prepared once per weight set.  With `record` set, the kernel also
+returns the per-slice trace that :func:`comet.obc_ipc.ipc_obc` gives for
+one tile, for every tile at once.
 """
 
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,18 +61,29 @@ def check_operands(theta, x, bias, b1: int, b2: int):
     slices add at most 2^B_serial * sum|coefficients|, plus the doubled
     bias); a layer whose bound reaches 2^63 is rejected.  Every B1 <= 16,
     B2 = 8 LeNet layer is far inside it.  `gemm_obc` and the oracle path
-    both admit exactly what this admits.
+    both admit exactly what this admits: `gemm_obc` runs the weight half
+    once per weight set and the input half on every call.
     """
-    fmt_in, fmt_wt = FxpFormat(b1), FxpFormat(b2)
+    theta, bias = _checked_weights(theta, bias, b2)
+    return theta, _checked_inputs(x, theta.shape[1], b1, b2), bias
+
+
+def _checked_weights(theta, bias, b2: int):
+    """The weight half of `check_operands`."""
+    fmt_wt = FxpFormat(b2)
     theta, bias = fmt_wt.check(theta, "weights"), fmt_wt.check(bias, "biases")
-    x = fmt_in.check(x, "inputs")
     if theta.ndim != 2 or bias.shape != theta.shape[:1]:
         raise ValueError("weights must be (N, patch_len) and biases (N,)")
-    patch_len = theta.shape[1]
+    return theta, bias
+
+
+def _checked_inputs(x, patch_len: int, b1: int, b2: int):
+    """The input half of `check_operands`: the B1 format and the headroom."""
+    x = FxpFormat(b1).check(x, "inputs")
     if (patch_len << (b1 + b2 - 1)) + (1 << b2) >= 1 << 63:
         raise ValueError(f"a {patch_len}-long patch at B1={b1}, "
                          f"B2={b2} can overflow the int64 accumulator")
-    return theta, x, bias
+    return x
 
 
 @lru_cache(maxsize=64)
@@ -138,22 +151,28 @@ def gemm_obc(theta: np.ndarray, xcols: np.ndarray, bias: np.ndarray,
     shape (N, M, tiles, B_serial), LSB slice first.  Addresses are int64,
     so recording needs k_hw <= 63.
 
-    Operands pass `check_operands` (formats, shapes and int64 headroom);
-    one table kernel serves both schemes, Scheme B swapping the operands.
+    Operands pass both halves of `check_operands` (formats, shapes and
+    int64 headroom); one table kernel serves both schemes, Scheme B
+    swapping the operands.  The weight side (the checked weights and their
+    half of the kernel) comes from `_weight_side`, keyed by content, so a
+    weight set is prepared once however many images go through it.
     """
-    theta, xcols, bias = check_operands(theta, xcols, bias, cfg.b1, cfg.b2)
+    theta, bias, half = _weight_side(
+        _content(theta, "weights"), _content(bias, "biases"), cfg.scheme,
+        cfg.arch, cfg.k_hw, cfg.b2)
+    xcols = _checked_inputs(xcols, theta.shape[1], cfg.b1, cfg.b2)
     if xcols.ndim != 2 or theta.shape[1] != xcols.shape[0]:
         raise ValueError("theta (N,Np) and xcols (Np,M) shapes inconsistent")
     if record and cfg.k_hw > 63:
         raise ValueError(f"trace addresses are int64: recording needs "
                          f"k_hw <= 63, got {cfg.k_hw}")
     kq, fields = _layout(cfg.arch, cfg.k_hw)
-    w_rows, x_rows = (_tiled(rows, cfg.k_hw, kq) for rows in (theta, xcols.T))
+    x_rows = _tiled(xcols.T, cfg.k_hw, kq)
     k_hw = cfg.k_hw if record else None
     if cfg.scheme is Scheme.A:
-        y2, trace = _obc_kernel(w_rows, x_rows, cfg.b1, fields, cfg.b2, k_hw)
+        y2, trace = _product(half, _serial_half(x_rows, fields, cfg.b1), k_hw)
     else:
-        y2, trace = _obc_kernel(x_rows, w_rows, cfg.b2, fields, cfg.b1, k_hw)
+        y2, trace = _product(_coef_half(x_rows, fields, cfg.b1), half, k_hw)
         y2 = y2.T
         if record:
             trace = {k: v.transpose(1, 0, 2, 3) for k, v in trace.items()}
@@ -165,14 +184,42 @@ def gemm_obc(theta: np.ndarray, xcols: np.ndarray, bias: np.ndarray,
     return y2 >> 1, cycles, trace
 
 
-@cache
+def _content(a, what: str):
+    """(dtype, shape, bytes): a hashable key that changes with any value."""
+    a = np.asarray(a)
+    if a.dtype.hasobject:       # the bytes of an object array are pointers
+        a = as_int64(a, what)
+    return a.dtype, a.shape, a.tobytes()
+
+
+# The LeNet-5m grid holds 48 weight sides (6 layers x 2 schemes x 4
+# techniques, shared by B1 8 and 16): a smaller bound misses on every call.
+@lru_cache(maxsize=64)
+def _weight_side(theta, bias, scheme, arch, k_hw, b2):
+    """(theta, bias, half) for the `_content` keys of the weights and
+    biases: both through `_checked_weights`, and the weights' half of
+    `_product` (the coefficient half in Scheme A, the serial half in
+    Scheme B).  Every array is read-only: callers share them."""
+    theta, bias = _checked_weights(*(np.frombuffer(data, dtype).reshape(shape)
+                                     for dtype, shape, data in (theta, bias)),
+                                   b2)
+    kq, fields = _layout(arch, k_hw)
+    rows = _tiled(theta, k_hw, kq)
+    half = _coef_half(rows, fields, b2) if scheme is Scheme.A \
+        else _serial_half(rows, fields, b2)
+    for a in (theta, bias, *half[:-1]):
+        a.flags.writeable = False
+    return theta, bias, half
+
+
+@lru_cache(maxsize=64)
 def _layout(kind, k_hw):
     """(padded tile width, `field_layout` as a tuple) of a k_hw-wide tile."""
     kq, q = padded_layout(k_hw)
     return kq, tuple(field_layout(kind, kq, q))
 
 
-@cache
+@lru_cache(maxsize=64)
 def _layout_constants(fields, kq):
     """Per-layout sign matrix (`field_entries` over unit coefficients),
     full sign matrix (kq x field value: the sign matrix through a +-1 fold
@@ -198,25 +245,66 @@ def _layout_constants(fields, kq):
     return consts
 
 
-def _obc_kernel(coef, serial, b, fields, coef_bits, k_hw=None):
+class _CoefHalf(NamedTuple):
+    """The coefficient side of `_product`, from (P, tiles, kq) rows at
+    most `bits` wide."""
+
+    full: np.ndarray    # (P, tiles * values) float64 full tables
+    sums: np.ndarray    # (P, tiles) int64: each tile's sum of coefficients
+    bits: int
+
+
+class _SerialHalf(NamedTuple):
+    """The serial side of `_product`, from (Q, tiles, kq) rows of b-bit
+    two's-complement values."""
+
+    u: np.ndarray       # (Q * tiles, kq) unsigned b-bit patterns
+    masks: np.ndarray   # (Q * tiles, values): bit s set where slice s reads
+    counts: np.ndarray  # (Q, tiles * values): the masks as signed integers
+    bits: int           # b
+
+
+def _coef_half(coef, fields, bits) -> _CoefHalf:
+    """Fill the full table of every field (one entry per field value) of
+    every tile by one product with the layout's full sign matrix."""
+    n_coef, tiles, kq = coef.shape
+    full_signs = _layout_constants(fields, kq)[1]
+    full = coef.reshape(-1, kq) @ full_signs
+    return _CoefHalf(full.reshape(n_coef, tiles * full_signs.shape[1]),
+                     coef.sum(axis=2), bits)
+
+
+def _serial_half(serial, fields, b) -> _SerialHalf:
+    """Slice the serial rows' b-bit patterns u LSB first, the sign slice
+    weighing negative.  The AND over a field's operands of u or ~u is, per
+    field value, a mask whose bit s is set exactly where slice s reads that
+    value.  In a pattern every bit from b-1 up copies the sign slice, and
+    AND and NOT keep that, so a mask read as a signed integer of its
+    container is the b-bit two's-complement value's signed read count: the
+    sum of +-2^s over its slices."""
+    n_serial, tiles, kq = serial.shape
+    lit = _layout_constants(fields, kq)[2]
+    # patterns in only the bytes that b needs
+    u = serial.astype(f"<u{(1, 2, 4, 4)[(b - 1) // 8]}").reshape(-1, kq)
+    lits = np.concatenate((~u, u), axis=1)
+    masks = lits[:, lit[0]]
+    for c in lit[1:]:
+        masks &= lits[:, c]
+    counts = masks.view(f"<i{u.itemsize}").reshape(n_serial,
+                                                   tiles * lit.shape[1])
+    return _SerialHalf(u, masks, counts, b)
+
+
+def _product(coef: _CoefHalf, serial: _SerialHalf, k_hw=None):
     """Doubled products 2 * sum(coef[p] * serial[q]) over all tiles: (P, Q).
 
-    The (P, tiles, kq) coef rows, at most `coef_bits` wide, fill the full
-    table of every field (one entry per field value) by one product with
-    the layout's full sign matrix.  The (Q, tiles, kq) serial rows are
-    b-bit patterns u, sliced LSB first, the sign slice weighing negative.
-    The AND over a field's operands of u or ~u is, per field value, a mask
-    whose bit s is set exactly where slice s reads that value.  In a
-    pattern every bit from b-1 up copies the sign slice, and AND and NOT
-    keep that, so a mask read as a signed integer of its container is the
-    b-bit two's-complement value's signed read count: the sum of +-2^s
-    over its slices.  One float64 product of the full tables with the
-    counts sums the reads.
+    One float64 product of the full tables with the read counts sums the
+    reads, after the -sum(coef) offset of every tile.
 
     The float64 steps are exact.  A full-table entry sums at most 4
-    coefficients: at most 2^(coef_bits+1) < 2^53.  A slice reads one value
+    coefficients: at most 2^(coef.bits+1) < 2^53.  A slice reads one value
     per field, so a field's counts sum to at most 2^b - 1 in magnitude, and
-    a tile adds at most kq * 2^(coef_bits-1) * (2^b - 1) to the magnitudes
+    a tile adds at most kq * 2^(coef.bits-1) * (2^b - 1) to the magnitudes
     bounding every partial sum.  Past 2^53, the counts are cut into limbs
     of the widest w that stays within it (a limb's magnitudes, the top one
     signed, sum below 2^w), recombined as int64 << shift; past it even at
@@ -230,42 +318,34 @@ def _obc_kernel(coef, serial, b, fields, coef_bits, k_hw=None):
     bits, and the `accumulator` after the slice, started at -sum(coef) of
     the tile.
     """
-    n_coef, tiles, kq = coef.shape
-    n_serial = len(serial)
-    full_signs, lit = _layout_constants(fields, kq)[1:]
-    values = full_signs.shape[1]
-    full = (coef.reshape(-1, kq) @ full_signs).reshape(n_coef, tiles * values)
-    # (Q * tiles, kq) patterns in only the bytes that b needs
-    u = serial.astype(f"<u{(1, 2, 4, 4)[(b - 1) // 8]}").reshape(-1, kq)
-    lits = np.concatenate((~u, u), axis=1)
-    masks = lits[:, lit[0]]
-    for c in lit[1:]:
-        masks &= lits[:, c]
-    counts = masks.view(f"<i{u.itemsize}").reshape(n_serial, tiles * values)
-    per_tile = kq << coef_bits - 1
+    n_coef, tiles = coef.sums.shape
+    n_serial, b = len(serial.counts), serial.bits
+    kq, values = serial.u.shape[1], serial.masks.shape[1]
+    per_tile = kq << coef.bits - 1
     # the widest w with tiles * per_tile * (2^w - 1) <= 2^53, at least 1
     w = max(1, ((1 << 53) // (per_tile * max(tiles, 1)) + 1).bit_length() - 1)
     run = (1 << 53) // (per_tile * ((1 << w) - 1)) * values  # terms/product
-    y2 = np.zeros((n_coef, n_serial), np.int64) - coef.sum(axis=(1, 2))[:, None]
+    y2 = np.zeros((n_coef, n_serial), np.int64) - coef.sums.sum(axis=1)[:, None]
     for t in range(0, tiles * values, run):
         for shift in range(0, b, w):
-            limb = counts[:, t:t + run] >> shift
+            limb = serial.counts[:, t:t + run] >> shift
             if shift + w < b:
                 limb &= (1 << w) - 1
-            y2 += (full[:, t:t + run] @ limb.T).astype(np.int64) << shift
+            y2 += (coef.full[:, t:t + run] @ limb.T).astype(np.int64) << shift
     if k_hw is None:
         return y2, None
     shape = (n_serial, tiles, b)
     # (Q, tiles, b, kq + values): the pattern bits, then the mask bits
-    bits = np.unpackbits(np.concatenate((u, masks), axis=1)[..., None]
-                         .view(np.uint8).swapaxes(-1, -2), axis=-2, count=b,
-                         bitorder="little").reshape(*shape, kq + values)
+    bits = np.unpackbits(np.concatenate((serial.u, serial.masks), axis=1)
+                         [..., None].view(np.uint8).swapaxes(-1, -2), axis=-2,
+                         count=b, bitorder="little").reshape(*shape,
+                                                             kq + values)
     address = bits[..., :k_hw] @ (1 << np.arange(k_hw - 1, -1, -1))
-    lut_output = np.einsum("ptv,qtsv->pqts", full.astype(np.int64)
+    lut_output = np.einsum("ptv,qtsv->pqts", coef.full.astype(np.int64)
                            .reshape(n_coef, tiles, values), bits[..., kq:])
     weight = np.append(1 << np.arange(b - 1), -(1 << (b - 1)))
     accumulator = np.cumsum(lut_output * weight, axis=-1) \
-        - coef.sum(axis=2)[:, None, :, None]
+        - coef.sums[:, None, :, None]
     return y2, {"address": np.broadcast_to(address.reshape(shape),
                                            (n_coef, *shape)),
                 "lut_output": lut_output, "accumulator": accumulator}

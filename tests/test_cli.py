@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output formats, subcommand behavior."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -210,6 +211,34 @@ def test_infer_trace_dump(capsys, tmp_path):
         n, m = lay.out_shape[0], int(np.prod(lay.out_shape[1:]))
         assert len(lines) - 1 == n * m * -(-lay.patch_len // 16) * 8
 
+
+
+# sha256 of layer0.csv .. layer5.csv for the default configuration
+# (A-hybrid, B1 8) and B-split at B1 16: a change to the GEMM path keeps them
+TRACE_DIGESTS = {
+    (): ("b8df9aef58b90df8573edb6fac731fa24b6e10e62e38f56b7083647e97ee8caf",
+         "843b6a9bc7eb6d6f78c8a7d20aee82442772a72f8bad0ffc8725439cdb9159df",
+         "38a31414c8227286c62269fae5c65e82037d3a7d2a148288548b2214330f1e53",
+         "4b8209762fff6a9a6b49fcab7744439f7d55b2ccd3cb8792124eb0e49422f259",
+         "6c85119793ebd8f5ff37fc6c561b051b7ad168aba5b25f808ef08ab92aa13d0e",
+         "30dee3151031c4d0de07f9185d0376e362e1c449fd25107a232a3614c513819b"),
+    ("--scheme", "B", "--arch", "split", "--b1", "16"): (
+        "794056057f3084657041f7f21ad5e4813a2345afa73bce6bb3599ad715cc1121",
+        "317c4af4c3599b8758ae968fd8b8fa5a071988a3cc8a8b2fa5504a599ecbf619",
+        "30d7ac9daddb1160d75b7f10c85cbcd042c1a521bc93d7a85191054f9cf6f0ef",
+        "cd241362cc948ca8f3dcaf628fc7332d0cc0b57e052c331cd6f300e497e99357",
+        "fbbed6a78de56286ff1ab48642ddc27c5ca26b544e7ed5174b54747436526234",
+        "a24b9a8e9d4d8c4ad2d147bd3acfa5c1176578e8bb281ff12fb4fe4927c3a076"),
+}
+
+
+@pytest.mark.parametrize("argv", TRACE_DIGESTS,
+                         ids=lambda argv: " ".join(argv) or "default")
+def test_infer_trace_bytes_are_pinned(capsys, tmp_path, argv):
+    code, _, _ = run(capsys, "infer", *argv, "--dump-trace", str(tmp_path))
+    assert code == EXIT_OK
+    assert tuple(hashlib.sha256((tmp_path / f"layer{i}.csv").read_bytes())
+                 .hexdigest() for i in range(6)) == TRACE_DIGESTS[argv]
 
 def test_infer_trace_rejects_addresses_past_int64(capsys, tmp_path):
     code, _, err = run(capsys, "infer", "--k-hw", "64",

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from comet.cnn_model import (
     LayerSpec,
@@ -16,8 +16,9 @@ from comet.cnn_model import (
     _gap,
     _walk,
 )
-from comet.gemm_core import GemmConfig, gemm_oracle, im2col
+from comet.gemm_core import GemmConfig, _weight_side, gemm_oracle, im2col
 from comet.im2col_addr import LayerConfigWord
+from comet.lut_arch import KINDS
 from comet.obc_ipc import Scheme
 from comet.tensor_io import LayerWeights, SplitMix64, WeightBundle, \
     gen_input, gen_weights
@@ -165,6 +166,22 @@ def test_infer_matches_oracle(scheme, arch):
     assert res.logits == infer_oracle(model, w, x)
     assert res.argmax == int(np.argmax(res.logits))
 
+
+
+def test_a_second_image_prepares_no_weights():
+    """Over the 16-config grid (scheme x technique x B1 in {8, 16}), the
+    first image prepares 6 layers x 2 schemes x 4 techniques weight sides,
+    which both B1 share; the second image finds every one of them."""
+    grid = [(build_modified_lenet5(b1), GemmConfig(scheme=scheme, arch=arch))
+            for b1 in (8, 16) for scheme in Scheme for arch in KINDS]
+    _weight_side.cache_clear()
+    for seed in (1, 2):
+        misses = _weight_side.cache_info().misses
+        for model, cfg in grid:
+            infer(model, gen_weights(42, model, 8),
+                  gen_input(seed, (1, 32, 32), model.b1), cfg)
+    assert _weight_side.cache_info().misses == misses
+    assert _weight_side.cache_info().currsize <= 48
 
 def test_logits_are_nontrivial():
     """Requantization keeps signal alive end to end (no all-zero collapse)."""
@@ -372,13 +389,34 @@ def _exact_logits(model, weights, x) -> list[int]:
     return [int(v) for v in _walk(model, weights, x, matmul)[-1]]
 
 
+def _near_the_headroom_bound(c):
+    """A 2x2 conv over c channels at B1 = 31, B2 = 28, every value at its
+    format minimum, then gap and a 1x1 dense layer.  Its headroom bound
+    patch_len * 2^(B1+B2-1) + 2^B2 is 7 * 2^60 + 2^28, just below 2^63, at
+    c = 7, and 2^63 + 2^28, just at it, at c = 8; the conv's exact sum
+    fits int64 either way."""
+    b1, b2 = 31, 28
+    lo1, lo2 = -(1 << (b1 - 1)), -(1 << (b2 - 1))
+    cfg = LayerConfigWord(c=c, kh=2, kw=2, s=1, p=0, n=1, b=b1, h=2, w=2)
+    model = ModelSpec((LayerSpec("conv", cfg=cfg, act="relu", shift=40),
+                       LayerSpec("gap"),
+                       LayerSpec("fc", in_features=1, out_features=1)), b1, b2)
+    weights = {0: LayerWeights(np.full((1, c, 2, 2), lo2), np.full(1, lo2), 40),
+               2: LayerWeights(np.full((1, 1), lo2), np.full(1, lo2), 0)}
+    return model, weights, np.full((c, 2, 2), lo1)
+
+
 @settings(max_examples=150, deadline=None)
 @given(_small_models(), st.integers(1, 20), st.integers(1, 3),
        st.sampled_from([Scheme.A, Scheme.B]),
        st.sampled_from(["parallel", "shared", "split", "hybrid"]))
+@example(_near_the_headroom_bound(7), 4, 1, Scheme.A, "hybrid")
+@example(_near_the_headroom_bound(7), 3, 2, Scheme.B, "parallel")
+@example(_near_the_headroom_bound(8), 4, 1, Scheme.A, "split")
 def test_infer_equals_oracle_or_both_reject(case, k_hw, lanes, scheme, arch):
     """The oracle never wraps: it is exact and equals infer, or it rejects
-    and so does infer."""
+    and so does infer.  The examples sit at the headroom bound, which a
+    random draw rarely reaches."""
     model, weights, x = case
     cfg = GemmConfig(k_hw=k_hw, l=lanes, scheme=scheme, arch=arch)
     try:

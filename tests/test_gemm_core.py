@@ -7,8 +7,10 @@ from hypothesis import given, settings, strategies as st
 from comet.gemm_core import (
     GemmConfig,
     _im2col_map,
+    _coef_half,
     _layout_constants,
-    _obc_kernel,
+    _product,
+    _serial_half,
     gemm_cycles,
     gemm_obc,
     gemm_oracle,
@@ -129,6 +131,46 @@ def test_non_integer_operands_are_rejected():
                        np.array([-1], np.int8), cfg)
     assert y.tolist() == [[10]]
     assert im2col(np.array([[[1.0, -2.0]]]), im2col_cfg).tolist() == [[1, -2]]
+
+
+
+# -- the weight side, prepared once per weight set ------------------------
+
+@pytest.mark.parametrize("scheme", [Scheme.A, Scheme.B])
+def test_weight_side_follows_in_place_edits(scheme):
+    """The memo is keyed by content: a weight or bias edited in place
+    between two calls gives the new exact result."""
+    theta, x, bias = _rand((3, 20), 8, seed=31), _rand((20, 4), 8, seed=32), \
+        _rand((3,), 8, seed=33)
+    cfg = GemmConfig(k_hw=8, l=1, scheme=scheme, arch="hybrid")
+    for _ in range(2):
+        y, _, _ = gemm_obc(theta, x, bias, cfg)
+        assert (y == gemm_oracle(theta, x, bias)).all()
+        theta[1, 7] ^= 1
+        bias[2] ^= 1
+
+
+@pytest.mark.parametrize("scheme", [Scheme.A, Scheme.B])
+def test_writing_into_results_leaves_the_next_call_unchanged(scheme):
+    theta, x, bias = _rand((3, 20), 8, seed=34), _rand((20, 4), 8, seed=35), \
+        _rand((3,), 8, seed=36)
+    cfg = GemmConfig(k_hw=8, l=1, scheme=scheme, arch="split")
+    y, _, trace = gemm_obc(theta, x, bias, cfg, record=True)
+    want = [a.copy() for a in (y, *trace.values())]
+    assert not trace["address"].flags.writeable     # a broadcast view
+    for a in (y, trace["lut_output"], trace["accumulator"]):
+        a[...] = 99
+    y, _, trace = gemm_obc(theta, x, bias, cfg, record=True)
+    assert all((a == w).all() for a, w in zip((y, *trace.values()), want))
+
+
+def test_weights_outside_b2_raise_on_every_call():
+    cfg = GemmConfig(k_hw=4, l=1)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="weights"):
+            gemm_obc([[200, 1]], [[1], [1]], [0], cfg)
+        with pytest.raises(ValueError, match="biases"):
+            gemm_obc([[1, 1]], [[1], [1]], [-129], cfg)
 
 
 # -- PISO -----------------------------------------------------------------
@@ -310,8 +352,9 @@ def test_kernel_takes_long_contractions_a_run_at_a_time(kind):
     high = np.tile([True, True, True, False], tiles)
     coef = np.where(high, (1 << bits - 1) - 1, -(1 << bits - 1))
     serial = np.where(high, 1, -2)
-    y2, _ = _obc_kernel(coef.reshape(1, tiles, 4), serial.reshape(1, tiles, 4),
-                        b, tuple(field_layout(kind, 4, 4)), bits)
+    fields = tuple(field_layout(kind, 4, 4))
+    y2, _ = _product(_coef_half(coef.reshape(1, tiles, 4), fields, bits),
+                     _serial_half(serial.reshape(1, tiles, 4), fields, b))
     assert y2.tolist() == [[2 * sum(map(int, coef * serial))]]
 
 

@@ -1,6 +1,6 @@
 """Source hygiene: every import in the package modules is used, the CLI's
-commands leave error handling to `main`, and no function casts a caller's
-value to int64 past `as_int64`."""
+commands leave error handling to `main`, no function casts a caller's
+value to int64 past `as_int64`, and every cache is bounded."""
 
 import ast
 from pathlib import Path
@@ -128,3 +128,56 @@ def test_int64_cast_check_sees_parameter_casts_only():
            "            a.astype(object), np.array(a[0], dtype=np.int64))\n")
     assert int64_casts_of_parameters(src) == [
         "line 3: f", "line 3: f", "line 5: g", "line 5: g"]
+
+
+def unbounded_caches(source: str) -> list[str]:
+    """Lines that use `functools.cache`, or `lru_cache` with a `maxsize`
+    other than an integer constant.
+
+    A memo keyed by callers' values (shapes, widths, weight contents) grows
+    for the life of the process unless it has a fixed bound; a bare
+    `lru_cache` keeps its default bound of 128.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [node.lineno for a in node.names if a.name == "cache"]
+        elif (isinstance(node, ast.Attribute) and node.attr == "cache"
+              and isinstance(node.value, ast.Name)
+              and node.value.id == "functools"):
+            found.append(node.lineno)
+        elif isinstance(node, ast.Call) and "lru_cache" in (
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None)):
+            bound = node.args[:1] + [k.value for k in node.keywords
+                                     if k.arg == "maxsize"]
+            if bound and not (isinstance(bound[0], ast.Constant)
+                              and type(bound[0].value) is int):
+                found.append(node.lineno)
+    return [f"line {line}" for line in sorted(found)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unbounded_cache(path):
+    assert unbounded_caches(path.read_text()) == []
+
+
+def test_unbounded_cache_check_sees_every_spelling():
+    src = ("import functools\n"
+           "from functools import cache, lru_cache\n"
+           "@functools.cache\n"
+           "def a(): pass\n"
+           "@lru_cache(maxsize=None)\n"
+           "def b(): pass\n"
+           "@functools.lru_cache(None)\n"
+           "def c(): pass\n"
+           "@lru_cache(maxsize=SIZE)\n"
+           "def d(): pass\n"
+           "@lru_cache(maxsize=64)\n"
+           "def e(): pass\n"
+           "@lru_cache\n"
+           "def f(): pass\n"
+           "@functools.lru_cache(16, typed=True)\n"
+           "def g(): pass\n")
+    assert unbounded_caches(src) == ["line 2", "line 3", "line 5", "line 7",
+                                     "line 9"]
