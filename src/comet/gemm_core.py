@@ -3,12 +3,14 @@
 Matrix products are computed tile-by-tile through the offset-binary
 shift-accumulate datapath and must equal the direct integer GEMM oracle
 bit-exactly.  One vectorized kernel serves both schemes (Scheme B swaps
-the coefficient and serial operands and transposes the result).  Its
-coefficient half builds every tile's full field tables (an entry per
+the coefficient and serial operands and transposes the result).  It is
+operand-major: R operands (activations or weight rows) are tiled as
+(tiles, kq, R), and each half gives (tiles * values, R) arrays.  The
+coefficient half holds every tile's full field tables (an entry per
 value of each field of `comet.lut_arch.field_layout`, mirrored reads
-folded in) by one product; its serial half counts the table reads of all
-bit-slices of a serial operand at once, with one bit mask per field
-value; one exact float64 product sums the reads.  The weights' half is
+folded in); the serial half counts the table reads of all bit-slices at
+once, with one bit mask per field value; one exact float64 product of
+the two sums the reads, transposing neither.  The weights' half is
 prepared once per weight set.  With `record` set, the kernel also
 returns the per-slice trace that :func:`comet.obc_ipc.ipc_obc` gives for
 one tile, for every tile at once.
@@ -88,13 +90,13 @@ def _checked_inputs(x, patch_len: int, b1: int, b2: int):
 
 @lru_cache(maxsize=64)
 def _im2col_map(cfg: LayerConfigWord) -> np.ndarray:
-    """Read-only (M, Np) flat indices into x, c*h*w (one past x) for a pad
+    """Read-only (Np, M) flat indices into x, c*h*w (one past x) for a pad
     tap: built from the configuration word alone, once per layer."""
-    oh, ow, ch, i, j = np.ix_(*map(np.arange, (cfg.h_out, cfg.w_out, cfg.c,
-                                               cfg.kh, cfg.kw)))
+    ch, i, j, oh, ow = np.ix_(*map(np.arange, (cfg.c, cfg.kh, cfg.kw,
+                                               cfg.h_out, cfg.w_out)))
     r, q = oh * cfg.s + i, ow * cfg.s + j
     index = np.where((r < cfg.h) & (q < cfg.w), (ch * cfg.h + r) * cfg.w + q,
-                     cfg.c * cfg.h * cfg.w).reshape(-1, cfg.patch_len)
+                     cfg.c * cfg.h * cfg.w).reshape(cfg.patch_len, -1)
     index.flags.writeable = False
     return index
 
@@ -105,12 +107,12 @@ def im2col(x: np.ndarray, cfg: LayerConfigWord) -> np.ndarray:
     Column (oh, ow) holds the channel-major patch at that output position;
     one-sided zero padding extends the bottom/right edge when cfg.p == 1.
     One gather through the layer's cached address map, the pad taps reading
-    a zero appended to x; the result is the transpose of an (M, Np) array.
+    a zero appended to x; the result is C-contiguous, patch-major.
     """
     x = as_int64(x, "inputs")
     if x.shape != (cfg.c, cfg.h, cfg.w):
         raise ValueError(f"input shape {x.shape} != {(cfg.c, cfg.h, cfg.w)}")
-    return np.append(x, 0)[_im2col_map(cfg)].T
+    return np.append(x, 0)[_im2col_map(cfg)]
 
 
 def gemm_oracle(theta: np.ndarray, xcols: np.ndarray,
@@ -130,12 +132,12 @@ def gemm_cycles(n: int, m: int, patch_len: int, cfg: GemmConfig) -> int:
     return m * tiles * cfg.serial_bits * (-(-n // cfg.l))
 
 
-def _tiled(rows: np.ndarray, k_hw: int, width: int) -> np.ndarray:
-    """(R, patch_len) -> (R, tiles, width), zeros after values."""
-    r, full = len(rows), rows.shape[1] // k_hw
-    out = np.zeros((r, -(-rows.shape[1] // k_hw), width), rows.dtype)
-    out[:, :full, :k_hw] = rows[:, :full * k_hw].reshape(r, full, k_hw)
-    out[:, full:, :rows.shape[1] - full * k_hw] = rows[:, None, full * k_hw:]
+def _tiled(cols: np.ndarray, k_hw: int, width: int) -> np.ndarray:
+    """(patch_len, R) -> (tiles, width, R), zeros after values."""
+    (n, r), full = cols.shape, cols.shape[0] // k_hw
+    out = np.zeros((-(-n // k_hw), width, r), cols.dtype)
+    out[:full, :k_hw] = cols[:full * k_hw].reshape(full, k_hw, r)
+    out[full:, :n - full * k_hw] = cols[full * k_hw:]
     return out
 
 
@@ -167,12 +169,12 @@ def gemm_obc(theta: np.ndarray, xcols: np.ndarray, bias: np.ndarray,
         raise ValueError(f"trace addresses are int64: recording needs "
                          f"k_hw <= 63, got {cfg.k_hw}")
     kq, fields = _layout(cfg.arch, cfg.k_hw)
-    x_rows = _tiled(xcols.T, cfg.k_hw, kq)
+    x_tiles = _tiled(xcols, cfg.k_hw, kq)
     k_hw = cfg.k_hw if record else None
     if cfg.scheme is Scheme.A:
-        y2, trace = _product(half, _serial_half(x_rows, fields, cfg.b1), k_hw)
+        y2, trace = _product(half, _serial_half(x_tiles, fields, cfg.b1), k_hw)
     else:
-        y2, trace = _product(_coef_half(x_rows, fields, cfg.b1), half, k_hw)
+        y2, trace = _product(_coef_half(x_tiles, fields, cfg.b1), half, k_hw)
         y2 = y2.T
         if record:
             trace = {k: v.transpose(1, 0, 2, 3) for k, v in trace.items()}
@@ -204,9 +206,8 @@ def _weight_side(theta, bias, scheme, arch, k_hw, b2):
                                      for dtype, shape, data in (theta, bias)),
                                    b2)
     kq, fields = _layout(arch, k_hw)
-    rows = _tiled(theta, k_hw, kq)
-    half = _coef_half(rows, fields, b2) if scheme is Scheme.A \
-        else _serial_half(rows, fields, b2)
+    half = (_coef_half if scheme is Scheme.A else _serial_half)(
+        _tiled(theta.T, k_hw, kq), fields, b2)
     for a in (theta, bias, *half[:-1]):
         a.flags.writeable = False
     return theta, bias, half
@@ -224,7 +225,7 @@ def _layout_constants(fields, kq):
     """Per-layout sign matrix (`field_entries` over unit coefficients),
     full sign matrix (kq x field value: the sign matrix through a +-1 fold
     to where `mirror_read` sends each value) and mask literals (per field
-    operand, MSB first, a column of [~u, u]); values ascend field by field.
+    operand, MSB first, an operand of [~u, u]); values ascend field by field.
     Read-only."""
     unit = list(np.eye(kq))
     entries = [field_entries(unit[s:s + w], m) for s, w, m in fields]
@@ -246,53 +247,51 @@ def _layout_constants(fields, kq):
 
 
 class _CoefHalf(NamedTuple):
-    """The coefficient side of `_product`, from (P, tiles, kq) rows at
-    most `bits` wide."""
+    """The coefficient side of `_product`, from (tiles, kq, P) operands."""
 
-    full: np.ndarray    # (P, tiles * values) float64 full tables
-    sums: np.ndarray    # (P, tiles) int64: each tile's sum of coefficients
-    bits: int
+    full: np.ndarray    # (tiles * values, P) float64 full tables
+    sums: np.ndarray    # (tiles, P) int64: each tile's sum of coefficients
+    bits: int           # the operands are at most this wide
 
 
 class _SerialHalf(NamedTuple):
-    """The serial side of `_product`, from (Q, tiles, kq) rows of b-bit
-    two's-complement values."""
+    """The serial side of `_product`, from (tiles, kq, Q) operands."""
 
-    u: np.ndarray       # (Q * tiles, kq) unsigned b-bit patterns
-    masks: np.ndarray   # (Q * tiles, values): bit s set where slice s reads
-    counts: np.ndarray  # (Q, tiles * values): the masks as signed integers
-    bits: int           # b
+    u: np.ndarray       # (tiles, kq, Q) unsigned b-bit patterns
+    masks: np.ndarray   # (tiles, values, Q): bit s set where slice s reads
+    counts: np.ndarray  # (tiles * values, Q): the masks as signed integers
+    bits: int           # b: the operands are b-bit two's complement
 
 
 def _coef_half(coef, fields, bits) -> _CoefHalf:
     """Fill the full table of every field (one entry per field value) of
     every tile by one product with the layout's full sign matrix."""
-    n_coef, tiles, kq = coef.shape
+    tiles, kq, n_coef = coef.shape
     full_signs = _layout_constants(fields, kq)[1]
-    full = coef.reshape(-1, kq) @ full_signs
-    return _CoefHalf(full.reshape(n_coef, tiles * full_signs.shape[1]),
-                     coef.sum(axis=2), bits)
+    full = full_signs.T @ coef.astype(np.float64)
+    return _CoefHalf(full.reshape(tiles * full_signs.shape[1], n_coef),
+                     coef.sum(axis=1), bits)
 
 
 def _serial_half(serial, fields, b) -> _SerialHalf:
-    """Slice the serial rows' b-bit patterns u LSB first, the sign slice
+    """Slice the serial operands' b-bit patterns u LSB first, the sign slice
     weighing negative.  The AND over a field's operands of u or ~u is, per
     field value, a mask whose bit s is set exactly where slice s reads that
     value.  In a pattern every bit from b-1 up copies the sign slice, and
     AND and NOT keep that, so a mask read as a signed integer of its
     container is the b-bit two's-complement value's signed read count: the
     sum of +-2^s over its slices."""
-    n_serial, tiles, kq = serial.shape
+    tiles, kq, n_serial = serial.shape
     lit = _layout_constants(fields, kq)[2]
-    # patterns in only the bytes that b needs
-    u = serial.astype(f"<u{(1, 2, 4, 4)[(b - 1) // 8]}").reshape(-1, kq)
-    lits = np.concatenate((~u, u), axis=1)
-    masks = lits[:, lit[0]]
+    size = (1, 2, 4, 4)[(b - 1) // 8]      # only the bytes that b needs
+    lits = np.empty((tiles, 2 * kq, n_serial), f"<u{size}")   # [~u, u]
+    lits[:, kq:] = serial
+    np.invert(lits[:, kq:], out=lits[:, :kq])
+    masks = np.take(lits, lit[0], axis=1)
     for c in lit[1:]:
-        masks &= lits[:, c]
-    counts = masks.view(f"<i{u.itemsize}").reshape(n_serial,
-                                                   tiles * lit.shape[1])
-    return _SerialHalf(u, masks, counts, b)
+        masks &= np.take(lits, c, axis=1)
+    counts = masks.view(f"<i{size}").reshape(tiles * lit.shape[1], n_serial)
+    return _SerialHalf(lits[:, kq:], masks, counts, b)
 
 
 def _product(coef: _CoefHalf, serial: _SerialHalf, k_hw=None):
@@ -318,34 +317,35 @@ def _product(coef: _CoefHalf, serial: _SerialHalf, k_hw=None):
     bits, and the `accumulator` after the slice, started at -sum(coef) of
     the tile.
     """
-    n_coef, tiles = coef.sums.shape
-    n_serial, b = len(serial.counts), serial.bits
+    tiles, n_coef = coef.sums.shape
+    n_serial, b = serial.counts.shape[1], serial.bits
     kq, values = serial.u.shape[1], serial.masks.shape[1]
     per_tile = kq << coef.bits - 1
     # the widest w with tiles * per_tile * (2^w - 1) <= 2^53, at least 1
     w = max(1, ((1 << 53) // (per_tile * max(tiles, 1)) + 1).bit_length() - 1)
     run = (1 << 53) // (per_tile * ((1 << w) - 1)) * values  # terms/product
-    y2 = np.zeros((n_coef, n_serial), np.int64) - coef.sums.sum(axis=1)[:, None]
+    y2 = np.zeros((n_coef, n_serial), np.int64) - coef.sums.sum(axis=0)[:, None]
     for t in range(0, tiles * values, run):
         for shift in range(0, b, w):
-            limb = serial.counts[:, t:t + run] >> shift
-            if shift + w < b:
-                limb &= (1 << w) - 1
-            y2 += (coef.full[:, t:t + run] @ limb.T).astype(np.int64) << shift
+            limb = serial.counts[t:t + run]
+            if shift + w < b:       # a lower limb: w bits, unsigned
+                limb = limb >> shift & (1 << w) - 1
+            elif shift:             # the top limb keeps the sign
+                limb = limb >> shift
+            y2 += (coef.full[t:t + run].T @ limb.astype(np.float64)
+                   ).astype(np.int64) << shift
     if k_hw is None:
         return y2, None
-    shape = (n_serial, tiles, b)
     # (Q, tiles, b, kq + values): the pattern bits, then the mask bits
     bits = np.unpackbits(np.concatenate((serial.u, serial.masks), axis=1)
-                         [..., None].view(np.uint8).swapaxes(-1, -2), axis=-2,
-                         count=b, bitorder="little").reshape(*shape,
-                                                             kq + values)
+                         [..., None].view(np.uint8), axis=-1, count=b,
+                         bitorder="little").transpose(2, 0, 3, 1)
     address = bits[..., :k_hw] @ (1 << np.arange(k_hw - 1, -1, -1))
-    lut_output = np.einsum("ptv,qtsv->pqts", coef.full.astype(np.int64)
-                           .reshape(n_coef, tiles, values), bits[..., kq:])
+    lut_output = np.einsum("tvp,qtsv->pqts", coef.full.astype(np.int64)
+                           .reshape(tiles, values, n_coef), bits[..., kq:])
     weight = np.append(1 << np.arange(b - 1), -(1 << (b - 1)))
     accumulator = np.cumsum(lut_output * weight, axis=-1) \
-        - coef.sums[:, None, :, None]
-    return y2, {"address": np.broadcast_to(address.reshape(shape),
-                                           (n_coef, *shape)),
+        - coef.sums.T[:, None, :, None]
+    return y2, {"address": np.broadcast_to(address,
+                                           (n_coef, *address.shape)),
                 "lut_output": lut_output, "accumulator": accumulator}

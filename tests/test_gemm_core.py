@@ -30,6 +30,37 @@ def _rand(shape, bits, seed=0):
     return SplitMix64(seed).fill(shape, bits)
 
 
+LAYOUTS = ("F-ordered", "transposed", "negative-stride", "read-only")
+
+
+def _laid_out(a, layout):
+    """A new array of `a`'s values in another memory layout."""
+    if layout == "F-ordered":
+        return np.asfortranarray(a)
+    if layout == "transposed":          # a view of the transposed copy
+        return np.ascontiguousarray(a.T).T
+    if layout == "negative-stride":     # a reversed view of a reversed copy
+        return np.flip(np.flip(a).copy())
+    a = a.copy()
+    a.flags.writeable = False
+    return a
+
+
+def _im2col_loop(x, cfg):
+    """im2col by a per-element Python loop, pad taps included."""
+    want = np.zeros((cfg.patch_len, cfg.h_out * cfg.w_out), dtype=np.int64)
+    for ci in range(cfg.c):
+        for i in range(cfg.kh):
+            for j in range(cfg.kw):
+                for oh in range(cfg.h_out):
+                    for ow in range(cfg.w_out):
+                        r, q = oh * cfg.s + i, ow * cfg.s + j
+                        if r < cfg.h and q < cfg.w:
+                            want[(ci * cfg.kh + i) * cfg.kw + j,
+                                 oh * cfg.w_out + ow] = x[ci, r, q]
+    return want
+
+
 # -- im2col ---------------------------------------------------------------
 
 def test_im2col_identity_kernel():
@@ -84,19 +115,22 @@ def test_im2col_equals_element_loop(c, kh, kw, s, p, h, w, seed):
     except ValueError:          # the kernel does not fit the input
         return
     x = _rand((c, h, w), 8, seed)
-    want = np.zeros((cfg.patch_len, cfg.h_out * cfg.w_out), dtype=np.int64)
-    for ci in range(c):
-        for i in range(kh):
-            for j in range(kw):
-                for oh in range(cfg.h_out):
-                    for ow in range(cfg.w_out):
-                        r, q = oh * s + i, ow * s + j
-                        if r < h and q < w:
-                            want[(ci * kh + i) * kw + j, oh * cfg.w_out + ow] \
-                                = x[ci, r, q]
+    want = _im2col_loop(x, cfg)
     got = im2col(x, cfg)
     assert got.dtype == np.int64 and got.shape == want.shape
     assert (got == want).all()
+    assert got.flags.c_contiguous       # patch-major, as the kernel tiles it
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_im2col_of_any_memory_layout(layout):
+    """Equals the element loop and leaves its input as it was."""
+    cfg = LayerConfigWord(c=2, kh=3, kw=2, s=2, p=1, n=1, b=8, h=5, w=4)
+    x = _laid_out(_rand((2, 5, 4), 8, seed=94), layout)
+    before = x.copy()
+    got = im2col(x, cfg)
+    assert got.flags.c_contiguous and (got == _im2col_loop(x, cfg)).all()
+    assert (x == before).all()
 
 
 def test_im2col_map_is_read_only():
@@ -162,6 +196,24 @@ def test_writing_into_results_leaves_the_next_call_unchanged(scheme):
         a[...] = 99
     y, _, trace = gemm_obc(theta, x, bias, cfg, record=True)
     assert all((a == w).all() for a, w in zip((y, *trace.values()), want))
+
+
+@pytest.mark.parametrize("scheme", [Scheme.A, Scheme.B])
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("n, m", [(3, 5), (0, 5), (3, 0)])
+def test_gemm_of_any_memory_layout(scheme, layout, n, m):
+    """Operands in any memory layout, with no rows or no columns too, give
+    the oracle's result and are left as they were."""
+    theta, x, bias = _rand((n, 21), 8, seed=95), _rand((21, m), 8, seed=96), \
+        _rand((n,), 8, seed=97)
+    want = gemm_oracle(theta, x, bias).tolist()
+    operands = [_laid_out(a, layout) for a in (theta, x, bias)]
+    before = [a.copy() for a in operands]
+    cfg = GemmConfig(k_hw=8, l=1, scheme=scheme, arch="hybrid")
+    for record in (False, True):
+        y, _, _ = gemm_obc(*operands, cfg, record=record)
+        assert y.shape == (n, m) and y.tolist() == want
+        assert all((a == b).all() for a, b in zip(operands, before))
 
 
 def test_weights_outside_b2_raise_on_every_call():
@@ -353,9 +405,37 @@ def test_kernel_takes_long_contractions_a_run_at_a_time(kind):
     coef = np.where(high, (1 << bits - 1) - 1, -(1 << bits - 1))
     serial = np.where(high, 1, -2)
     fields = tuple(field_layout(kind, 4, 4))
-    y2, _ = _product(_coef_half(coef.reshape(1, tiles, 4), fields, bits),
-                     _serial_half(serial.reshape(1, tiles, 4), fields, b))
+    # (tiles, kq, operands): one coefficient and one serial operand
+    y2, _ = _product(_coef_half(coef.reshape(tiles, 4, 1), fields, bits),
+                     _serial_half(serial.reshape(tiles, 4, 1), fields, b))
     assert y2.tolist() == [[2 * sum(map(int, coef * serial))]]
+
+
+@pytest.mark.parametrize("b", [2, 8, 9, 16, 17, 32])
+@pytest.mark.parametrize("kind", ARCHS)
+def test_serial_counts_are_signed_one_hot_reads(kind, b):
+    """At the edges of the 1-, 2- and 4-byte containers, every column of
+    `_serial_half`'s counts is, tile by tile, the sum over the slices s of
+    +-2^s (the sign slice negative) at each field's value in the slice's
+    `piso_schedule` address."""
+    tiles, kq, n = 3, 8, 7
+    fields = field_layout(kind, *padded_layout(kq))
+    serial = _rand((tiles, kq, n), b, seed=200 + b)
+    lo, hi = -(1 << (b - 1)), (1 << (b - 1)) - 1
+    serial[:, :, :3] = np.array([lo, -1, hi])
+    serial[:, ::3, 3], serial[:, 1::3, 3] = lo, hi
+    values = sum(1 << w for _, w, _ in fields)
+    counts = _serial_half(serial, tuple(fields), b).counts
+    assert counts.shape == (tiles * values, n)
+    for t, r in np.ndindex(tiles, n):
+        want = [0] * values
+        for s, address in enumerate(piso_schedule(serial[t, :, r], b)):
+            column = 0
+            for start, w, _ in fields:
+                f = address >> (kq - start - w) & ((1 << w) - 1)
+                want[column + f] += -(1 << s) if s == b - 1 else 1 << s
+                column += 1 << w
+        assert counts[t * values:(t + 1) * values, r].tolist() == want, (t, r)
 
 
 @pytest.mark.parametrize("kq", [4, 8, 16])
