@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .fxp import FxpFormat, as_int64
 from .gemm_core import GemmConfig, check_operands, gemm_cycles, gemm_obc, \
@@ -229,19 +230,27 @@ def infer_oracle(model: ModelSpec, weights, x: np.ndarray) -> list[int]:
 
 def conv_direct(x: np.ndarray, w: np.ndarray, bias: np.ndarray,
                 cfg: LayerConfigWord) -> np.ndarray:
-    """Nested sliding-window convolution (no im2col, no GEMM)."""
-    if np.shape(x) != (cfg.c, cfg.h, cfg.w):
-        raise ValueError(f"input shape {np.shape(x)} != "
-                         f"{(cfg.c, cfg.h, cfg.w)}")
-    if cfg.p:
-        x = np.pad(x, ((0, 0), (0, cfg.p), (0, cfg.p)))
-    ho, wo = cfg.h_out, cfg.w_out
-    out = np.zeros((cfg.n, ho * wo), dtype=np.int64)
-    for k in range(cfg.kh):
-        for l in range(cfg.kw):
-            window = x[:, k:k + ho * cfg.s:cfg.s, l:l + wo * cfg.s:cfg.s]
-            out += w[:, :, k, l] @ window.reshape(cfg.c, ho * wo)
-    return out.reshape(cfg.n, ho, wo) + bias[:, None, None]
+    """Sliding-window convolution (no im2col, no GEMM core): one exact int64
+    product of the (N, C*kh*kw) weights with the strided window view of the
+    input, padded at the bottom and right, laid out (C*kh*kw, H_out*W_out).
+
+    Operands go through `as_int64`; an input other than (C, H, W), weights
+    other than (N, C, kh, kw) or biases other than (N,) raise ValueError.
+    """
+    x, w, bias = (as_int64(a, what) for a, what in
+                  ((x, "inputs"), (w, "weights"), (bias, "biases")))
+    if x.shape != (cfg.c, cfg.h, cfg.w):
+        raise ValueError(f"input shape {x.shape} != {(cfg.c, cfg.h, cfg.w)}")
+    if w.shape != (cfg.n, cfg.c, cfg.kh, cfg.kw) or bias.shape != (cfg.n,):
+        raise ValueError(f"weights must be {(cfg.n, cfg.c, cfg.kh, cfg.kw)} "
+                         f"and biases {(cfg.n,)}")
+    padded = np.zeros((cfg.c, cfg.h + cfg.p, cfg.w + cfg.p), np.int64)
+    padded[:, :cfg.h, :cfg.w] = x
+    windows = sliding_window_view(padded, (cfg.kh, cfg.kw), axis=(1, 2))
+    cols = windows[:, ::cfg.s, ::cfg.s].transpose(0, 3, 4, 1, 2)
+    y = w.reshape(cfg.n, -1) @ cols.reshape(cfg.patch_len, -1)
+    y += bias[:, None]
+    return y.reshape(cfg.n, cfg.h_out, cfg.w_out)
 
 
 def model_cycles(model: ModelSpec, gemm_cfg: GemmConfig) -> int:

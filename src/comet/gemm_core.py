@@ -5,15 +5,16 @@ shift-accumulate datapath and must equal the direct integer GEMM oracle
 bit-exactly.  One vectorized kernel serves both schemes (Scheme B swaps
 the coefficient and serial operands and transposes the result).  It is
 operand-major: R operands (activations or weight rows) are tiled as
-(tiles, kq, R), and each half gives (tiles * values, R) arrays.  The
-coefficient half holds every tile's full field tables (an entry per
-value of each field of `comet.lut_arch.field_layout`, mirrored reads
-folded in); the serial half counts the table reads of all bit-slices at
-once, with one bit mask per field value; one exact float64 product of
-the two sums the reads, transposing neither.  The weights' half is
-prepared once per weight set.  With `record` set, the kernel also
-returns the per-slice trace that :func:`comet.obc_ipc.ipc_obc` gives for
-one tile, for every tile at once.
+(tiles, kq, R), straight into the dtype of the half they feed, and each
+half gives (tiles * values, R) arrays.  The coefficient half holds every
+tile's full field tables (an entry per value of each field of
+`comet.lut_arch.field_layout`, mirrored reads folded in); the serial half
+counts the table reads of all bit-slices at once, with one bit mask per
+field value; one exact float64 product of the two sums the reads,
+transposing neither, into accumulators started at the merged offset.
+The weights' half and start are prepared once per weight set.  With
+`record` set, the kernel also returns the per-slice trace that
+:func:`comet.obc_ipc.ipc_obc` gives for one tile, for every tile at once.
 """
 
 from dataclasses import dataclass
@@ -26,7 +27,7 @@ from .fxp import FxpFormat, as_int64
 from .im2col_addr import LayerConfigWord
 from .lut_arch import HYBRID, KINDS, field_entries, field_layout, \
     mirror_read, padded_layout
-from .obc_ipc import Scheme
+from .obc_ipc import Scheme, merged_offset
 # unused here: bench/tracing.py patches these names on this module
 from .obc_ipc import IpcProblem, ipc_obc  # noqa: F401
 
@@ -132,10 +133,10 @@ def gemm_cycles(n: int, m: int, patch_len: int, cfg: GemmConfig) -> int:
     return m * tiles * cfg.serial_bits * (-(-n // cfg.l))
 
 
-def _tiled(cols: np.ndarray, k_hw: int, width: int) -> np.ndarray:
-    """(patch_len, R) -> (tiles, width, R), zeros after values."""
+def _tiled(cols: np.ndarray, k_hw: int, width: int, dtype) -> np.ndarray:
+    """(patch_len, R) -> (tiles, width, R) of `dtype`, zeros after values."""
     (n, r), full = cols.shape, cols.shape[0] // k_hw
-    out = np.zeros((-(-n // k_hw), width, r), cols.dtype)
+    out = np.zeros((-(-n // k_hw), width, r), dtype)
     out[:full, :k_hw] = cols[:full * k_hw].reshape(full, k_hw, r)
     out[full:, :n - full * k_hw] = cols[full * k_hw:]
     return out
@@ -147,7 +148,8 @@ def gemm_obc(theta: np.ndarray, xcols: np.ndarray, bias: np.ndarray,
 
     Each patch is cut into k_hw-wide tiles; every tile runs one
     shift-accumulate pass with its own offset initialization, and the
-    doubled bias joins the last tile's offset only.  Returns
+    doubled bias joins the last tile's offset only: summed over the tiles,
+    accumulator (n, m) starts at `merged_offset(theta[n], bias[n])`.  Returns
     (Y, cycles, traces); traces is None unless `record` is set, and then
     maps "address", "lut_output" and "accumulator" to int64 arrays of
     shape (N, M, tiles, B_serial), LSB slice first.  Addresses are int64,
@@ -155,11 +157,12 @@ def gemm_obc(theta: np.ndarray, xcols: np.ndarray, bias: np.ndarray,
 
     Operands pass both halves of `check_operands` (formats, shapes and
     int64 headroom); one table kernel serves both schemes, Scheme B
-    swapping the operands.  The weight side (the checked weights and their
-    half of the kernel) comes from `_weight_side`, keyed by content, so a
-    weight set is prepared once however many images go through it.
+    swapping the operands.  The weight side (the checked weights, their
+    half of the kernel and their term of the start value) comes from
+    `_weight_side`, keyed by content, so a weight set is prepared once
+    however many images go through it.
     """
-    theta, bias, half = _weight_side(
+    theta, bias, half, start = _weight_side(
         _content(theta, "weights"), _content(bias, "biases"), cfg.scheme,
         cfg.arch, cfg.k_hw, cfg.b2)
     xcols = _checked_inputs(xcols, theta.shape[1], cfg.b1, cfg.b2)
@@ -168,22 +171,22 @@ def gemm_obc(theta: np.ndarray, xcols: np.ndarray, bias: np.ndarray,
     if record and cfg.k_hw > 63:
         raise ValueError(f"trace addresses are int64: recording needs "
                          f"k_hw <= 63, got {cfg.k_hw}")
-    kq, fields = _layout(cfg.arch, cfg.k_hw)
-    x_tiles = _tiled(xcols, cfg.k_hw, kq)
     k_hw = cfg.k_hw if record else None
     if cfg.scheme is Scheme.A:
-        y2, trace = _product(half, _serial_half(x_tiles, fields, cfg.b1), k_hw)
+        serial = _serial_half(xcols, cfg.k_hw, cfg.arch, cfg.b1)
+        y2, trace = _product(half, serial, (start,), k_hw)
     else:
-        y2, trace = _product(_coef_half(x_tiles, fields, cfg.b1), half, k_hw)
+        coef = _coef_half(xcols, cfg.k_hw, cfg.arch, cfg.b1)
+        y2, trace = _product(coef, half,
+                             (-coef.sums.sum(axis=0)[:, None], start), k_hw)
         y2 = y2.T
         if record:
             trace = {k: v.transpose(1, 0, 2, 3) for k, v in trace.items()}
-    y2 = y2 + 2 * bias[:, None]
     assert not np.any(y2 & 1), "doubled-domain result must be even"
     if record:                  # a zero-length patch has no last tile
         trace["accumulator"][:, :, -1:] += 2 * bias[:, None, None, None]
     cycles = gemm_cycles(len(theta), xcols.shape[1], theta.shape[1], cfg)
-    return y2 >> 1, cycles, trace
+    return np.right_shift(y2, 1, out=y2), cycles, trace
 
 
 def _content(a, what: str):
@@ -198,19 +201,23 @@ def _content(a, what: str):
 # techniques, shared by B1 8 and 16): a smaller bound misses on every call.
 @lru_cache(maxsize=64)
 def _weight_side(theta, bias, scheme, arch, k_hw, b2):
-    """(theta, bias, half) for the `_content` keys of the weights and
-    biases: both through `_checked_weights`, and the weights' half of
+    """(theta, bias, half, start) for the `_content` keys of the weights and
+    biases: both through `_checked_weights`, the weights' half of
     `_product` (the coefficient half in Scheme A, the serial half in
-    Scheme B).  Every array is read-only: callers share them."""
+    Scheme B), and their term of its start value: Scheme A's merged offset
+    per row, an (N, 1) column, or Scheme B's doubled bias, an (N,) row.
+    Every array is read-only: callers share them."""
     theta, bias = _checked_weights(*(np.frombuffer(data, dtype).reshape(shape)
                                      for dtype, shape, data in (theta, bias)),
                                    b2)
-    kq, fields = _layout(arch, k_hw)
-    half = (_coef_half if scheme is Scheme.A else _serial_half)(
-        _tiled(theta.T, k_hw, kq), fields, b2)
-    for a in (theta, bias, *half[:-1]):
+    if scheme is Scheme.A:      # builtin sum over theta.T: one per row
+        half = _coef_half(theta.T, k_hw, arch, b2)
+        start = merged_offset(theta.T, bias)[:, None]
+    else:
+        half, start = _serial_half(theta.T, k_hw, arch, b2), 2 * bias
+    for a in (theta, bias, *half[:-1], start):
         a.flags.writeable = False
-    return theta, bias, half
+    return theta, bias, half, start
 
 
 @lru_cache(maxsize=64)
@@ -247,7 +254,7 @@ def _layout_constants(fields, kq):
 
 
 class _CoefHalf(NamedTuple):
-    """The coefficient side of `_product`, from (tiles, kq, P) operands."""
+    """The coefficient side of `_product`, from (patch_len, P) operands."""
 
     full: np.ndarray    # (tiles * values, P) float64 full tables
     sums: np.ndarray    # (tiles, P) int64: each tile's sum of coefficients
@@ -255,7 +262,7 @@ class _CoefHalf(NamedTuple):
 
 
 class _SerialHalf(NamedTuple):
-    """The serial side of `_product`, from (tiles, kq, Q) operands."""
+    """The serial side of `_product`, from (patch_len, Q) operands."""
 
     u: np.ndarray       # (tiles, kq, Q) unsigned b-bit patterns
     masks: np.ndarray   # (tiles, values, Q): bit s set where slice s reads
@@ -263,29 +270,34 @@ class _SerialHalf(NamedTuple):
     bits: int           # b: the operands are b-bit two's complement
 
 
-def _coef_half(coef, fields, bits) -> _CoefHalf:
-    """Fill the full table of every field (one entry per field value) of
+def _coef_half(cols, k_hw, arch, bits) -> _CoefHalf:
+    """Tile the operands into float64 (exact for them and each tile's sum)
+    and fill the full table of every field (one entry per field value) of
     every tile by one product with the layout's full sign matrix."""
-    tiles, kq, n_coef = coef.shape
-    full_signs = _layout_constants(fields, kq)[1]
-    full = full_signs.T @ coef.astype(np.float64)
-    return _CoefHalf(full.reshape(tiles * full_signs.shape[1], n_coef),
-                     coef.sum(axis=1), bits)
+    kq, fields = _layout(arch, k_hw)
+    coef = _tiled(cols, k_hw, kq, np.float64)
+    tiles, _, n_coef = coef.shape
+    full = _layout_constants(fields, kq)[1].T @ coef    # (tiles, values, P)
+    return _CoefHalf(full.reshape(tiles * full.shape[1], n_coef),
+                     coef.sum(axis=1).astype(np.int64), bits)
 
 
-def _serial_half(serial, fields, b) -> _SerialHalf:
-    """Slice the serial operands' b-bit patterns u LSB first, the sign slice
+def _serial_half(cols, k_hw, arch, b) -> _SerialHalf:
+    """Tile the serial operands straight into b-bit patterns u (unsigned,
+    only the bytes b needs), and slice them LSB first, the sign slice
     weighing negative.  The AND over a field's operands of u or ~u is, per
     field value, a mask whose bit s is set exactly where slice s reads that
     value.  In a pattern every bit from b-1 up copies the sign slice, and
     AND and NOT keep that, so a mask read as a signed integer of its
     container is the b-bit two's-complement value's signed read count: the
     sum of +-2^s over its slices."""
-    tiles, kq, n_serial = serial.shape
+    kq, fields = _layout(arch, k_hw)
     lit = _layout_constants(fields, kq)[2]
-    size = (1, 2, 4, 4)[(b - 1) // 8]      # only the bytes that b needs
-    lits = np.empty((tiles, 2 * kq, n_serial), f"<u{size}")   # [~u, u]
-    lits[:, kq:] = serial
+    size = (1, 2, 4, 4)[(b - 1) // 8]
+    u = _tiled(cols, k_hw, kq, f"<u{size}")     # two's complement wraps
+    tiles, _, n_serial = u.shape
+    lits = np.empty((tiles, 2 * kq, n_serial), u.dtype)   # [~u, u]
+    lits[:, kq:] = u
     np.invert(lits[:, kq:], out=lits[:, :kq])
     masks = np.take(lits, lit[0], axis=1)
     for c in lit[1:]:
@@ -294,11 +306,12 @@ def _serial_half(serial, fields, b) -> _SerialHalf:
     return _SerialHalf(lits[:, kq:], masks, counts, b)
 
 
-def _product(coef: _CoefHalf, serial: _SerialHalf, k_hw=None):
-    """Doubled products 2 * sum(coef[p] * serial[q]) over all tiles: (P, Q).
+def _product(coef: _CoefHalf, serial: _SerialHalf, start, k_hw=None):
+    """Doubled accumulators (P, Q) started at the sum of the `start` arrays.
 
     One float64 product of the full tables with the read counts sums the
-    reads, after the -sum(coef) offset of every tile.
+    reads into them, then the start goes in place: with -sum(coef) as the
+    start, they are the doubled products 2 * sum(coef[p] * serial[q]).
 
     The float64 steps are exact.  A full-table entry sums at most 4
     coefficients: at most 2^(coef.bits+1) < 2^53.  A slice reads one value
@@ -324,16 +337,21 @@ def _product(coef: _CoefHalf, serial: _SerialHalf, k_hw=None):
     # the widest w with tiles * per_tile * (2^w - 1) <= 2^53, at least 1
     w = max(1, ((1 << 53) // (per_tile * max(tiles, 1)) + 1).bit_length() - 1)
     run = (1 << 53) // (per_tile * ((1 << w) - 1)) * values  # terms/product
-    y2 = np.zeros((n_coef, n_serial), np.int64) - coef.sums.sum(axis=0)[:, None]
-    for t in range(0, tiles * values, run):
+    y2 = None       # a zero-length patch takes one product of empty arrays
+    for t in range(0, max(tiles * values, 1), run):
         for shift in range(0, b, w):
             limb = serial.counts[t:t + run]
             if shift + w < b:       # a lower limb: w bits, unsigned
                 limb = limb >> shift & (1 << w) - 1
             elif shift:             # the top limb keeps the sign
                 limb = limb >> shift
-            y2 += (coef.full[t:t + run].T @ limb.astype(np.float64)
-                   ).astype(np.int64) << shift
+            part = (coef.full[t:t + run].T @ limb.astype(np.float64)
+                    ).astype(np.int64)
+            if shift:
+                part <<= shift
+            y2 = part if y2 is None else np.add(y2, part, out=y2)
+    for s in start:
+        y2 += s
     if k_hw is None:
         return y2, None
     # (Q, tiles, b, kq + values): the pattern bits, then the mask bits

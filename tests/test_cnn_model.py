@@ -218,6 +218,88 @@ def test_conv_direct_matches_manual():
     assert (y[0] == [[9, 13], [21, 25]]).all()
 
 
+def _conv_loop(x, w, bias, cfg):
+    """conv_direct by a per-element loop on Python integers, pad taps zero."""
+    x, w = x.tolist(), w.tolist()
+    out = []
+    for n in range(cfg.n):
+        for oh in range(cfg.h_out):
+            for ow in range(cfg.w_out):
+                acc = int(bias[n])
+                for ci in range(cfg.c):
+                    for i in range(cfg.kh):
+                        for j in range(cfg.kw):
+                            r, q = oh * cfg.s + i, ow * cfg.s + j
+                            if r < cfg.h and q < cfg.w:
+                                acc += w[n][ci][i][j] * x[ci][r][q]
+                out.append(acc)
+    return out
+
+
+def _conv_operands(cfg, b1, b2, seed):
+    rng = SplitMix64(seed)
+    return (rng.fill((cfg.c, cfg.h, cfg.w), b1),
+            rng.fill((cfg.n, cfg.c, cfg.kh, cfg.kw), b2),
+            rng.fill((cfg.n,), b2))
+
+
+LENET_CONVS = [lay.cfg for lay in build_modified_lenet5(16, 8).layers
+               if lay.kind == "conv"]
+
+
+@pytest.mark.parametrize("cfg", LENET_CONVS,
+                         ids=lambda c: f"{c.c}x{c.kh}s{c.s}p{c.p}")
+def test_conv_direct_equals_element_loop_on_lenet(cfg):
+    """All four LeNet-5m convolutions (two of them padded, stride 2), on
+    random B1 = 16 / B2 = 8 operands and at both ends of those formats."""
+    x, w, bias = _conv_operands(cfg, 16, 8, seed=cfg.c * 10 + cfg.kh)
+    cases = [(x, w, bias)]
+    for xv, wv, bv in ((-(1 << 15), -128, 127), (-(1 << 15), 127, -128),
+                       ((1 << 15) - 1, 127, 127)):
+        cases.append((np.full_like(x, xv), np.full_like(w, wv),
+                      np.full_like(bias, bv)))
+    for x, w, bias in cases:
+        y = conv_direct(x, w, bias, cfg)
+        assert y.dtype == np.int64
+        assert y.shape == (cfg.n, cfg.h_out, cfg.w_out)
+        assert y.ravel().tolist() == _conv_loop(x, w, bias, cfg)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
+       st.sampled_from([1, 2]), st.sampled_from([0, 1]), st.integers(1, 6),
+       st.integers(1, 6), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_conv_direct_equals_element_loop(c, kh, kw, s, p, h, w, n, seed):
+    try:
+        cfg = LayerConfigWord(c=c, kh=kh, kw=kw, s=s, p=p, n=n, b=8, h=h, w=w)
+    except ValueError:          # the kernel does not fit the input
+        return
+    x, wt, bias = _conv_operands(cfg, 8, 8, seed)
+    assert conv_direct(x, wt, bias, cfg).ravel().tolist() == \
+        _conv_loop(x, wt, bias, cfg)
+
+
+CONV_2X2 = LayerConfigWord(c=1, kh=2, kw=2, s=1, p=0, n=2, b=8, h=3, w=3)
+
+
+@pytest.mark.parametrize("x, w, bias, match", [
+    (np.arange(9).reshape(1, 3, 3), np.ones((2, 1, 2, 2)), [1], "biases"),
+    (np.arange(9).reshape(1, 3, 3), np.ones((2, 1, 3, 3)), [1, 1], "weights"),
+    (np.arange(9).reshape(1, 3, 3), np.ones((2, 4)), [1, 1], "weights"),
+    (np.full((1, 3, 3), 0.5), np.ones((2, 1, 2, 2)), [1, 1], "int64 integers"),
+], ids=["bias (1,)", "kernel 3x3", "weight (2, 4)", "input 0.5"])
+def test_conv_direct_rejects_operands_of_another_shape_or_type(x, w, bias,
+                                                               match):
+    """These used to broadcast the bias, read the 3x3 kernel's top-left
+    2x2, raise IndexError and raise UFuncTypeError."""
+    with pytest.raises(ValueError, match=match):
+        conv_direct(x, w, bias, CONV_2X2)
+    # integral values of any dtype pass unchanged
+    y = conv_direct(np.arange(9.0).reshape(1, 3, 3),
+                    np.ones((2, 1, 2, 2), np.int8), [1.0, -1.0], CONV_2X2)
+    assert y.tolist() == [[[9, 13], [21, 25]], [[7, 11], [19, 23]]]
+
+
 def test_infer_validates_weights_and_input():
     model = build_modified_lenet5()
     w = gen_weights(0, model, 8)

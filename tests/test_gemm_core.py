@@ -8,9 +8,11 @@ from comet.gemm_core import (
     GemmConfig,
     _im2col_map,
     _coef_half,
+    _content,
     _layout_constants,
     _product,
     _serial_half,
+    _weight_side,
     gemm_cycles,
     gemm_obc,
     gemm_oracle,
@@ -20,7 +22,7 @@ from comet.fxp import FxpFormat
 from comet.im2col_addr import LayerConfigWord
 from comet.lut_arch import PreparedLut, field_layout, padded_layout
 from comet.obc_ipc import IpcProblem, Scheme, build_naive_lut, ipc_obc, \
-    piso_schedule
+    merged_offset, piso_schedule
 from comet.tensor_io import SplitMix64
 
 ARCHS = ("parallel", "shared", "split", "hybrid")
@@ -225,6 +227,36 @@ def test_weights_outside_b2_raise_on_every_call():
             gemm_obc([[1, 1]], [[1], [1]], [-129], cfg)
 
 
+# -- the start value: the merged offset -----------------------------------
+
+def test_scheme_a_start_is_the_merged_offset():
+    """Scheme A's weight side holds, per row, the accumulator start of the
+    scalar path: `merged_offset(theta[n], bias[n])`."""
+    theta, bias = _rand((5, 37), 8, seed=61), _rand((5,), 8, seed=62)
+    start = _weight_side(_content(theta, "weights"), _content(bias, "biases"),
+                         Scheme.A, "hybrid", 16, 8)[3]
+    assert start.shape == (5, 1) and not start.flags.writeable
+    assert start[:, 0].tolist() == [
+        merged_offset(theta[n].tolist(), int(bias[n])) for n in range(5)]
+
+
+@pytest.mark.parametrize("scheme", [Scheme.A, Scheme.B])
+@pytest.mark.parametrize("arch", ARCHS)
+def test_square_gemm_with_distinct_biases(scheme, arch):
+    """With N == M a bias added along the wrong axis still broadcasts;
+    distinct biases make it show, in the result and in the trace, whose
+    last accumulators summed over the tiles are the doubled result."""
+    theta, x = _rand((6, 21), 8, seed=63), _rand((21, 6), 8, seed=64)
+    bias = np.arange(6) * 37 - 100
+    cfg = GemmConfig(k_hw=8, l=1, scheme=scheme, arch=arch)
+    want = gemm_oracle(theta, x, bias).tolist()
+    y, _, _ = gemm_obc(theta, x, bias, cfg)
+    assert y.tolist() == want
+    y, _, trace = gemm_obc(theta, x, bias, cfg, record=True)
+    assert y.tolist() == want
+    assert (trace["accumulator"][..., -1].sum(axis=2) == 2 * y).all()
+
+
 # -- PISO -----------------------------------------------------------------
 
 def test_piso_example():
@@ -404,10 +436,11 @@ def test_kernel_takes_long_contractions_a_run_at_a_time(kind):
     high = np.tile([True, True, True, False], tiles)
     coef = np.where(high, (1 << bits - 1) - 1, -(1 << bits - 1))
     serial = np.where(high, 1, -2)
-    fields = tuple(field_layout(kind, 4, 4))
-    # (tiles, kq, operands): one coefficient and one serial operand
-    y2, _ = _product(_coef_half(coef.reshape(tiles, 4, 1), fields, bits),
-                     _serial_half(serial.reshape(tiles, 4, 1), fields, b))
+    # (patch_len, operands), 4-wide tiles: one coefficient and one serial
+    coef_half = _coef_half(coef[:, None], 4, kind, bits)
+    serial_half = _serial_half(serial[:, None], 4, kind, b)
+    y2, _ = _product(coef_half, serial_half,
+                     (-coef_half.sums.sum(axis=0)[:, None],))
     assert y2.tolist() == [[2 * sum(map(int, coef * serial))]]
 
 
@@ -425,7 +458,7 @@ def test_serial_counts_are_signed_one_hot_reads(kind, b):
     serial[:, :, :3] = np.array([lo, -1, hi])
     serial[:, ::3, 3], serial[:, 1::3, 3] = lo, hi
     values = sum(1 << w for _, w, _ in fields)
-    counts = _serial_half(serial, tuple(fields), b).counts
+    counts = _serial_half(serial.reshape(tiles * kq, n), kq, kind, b).counts
     assert counts.shape == (tiles * values, n)
     for t, r in np.ndindex(tiles, n):
         want = [0] * values

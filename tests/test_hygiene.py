@@ -1,6 +1,7 @@
 """Source hygiene: every import in the package modules is used, the CLI's
 commands leave error handling to `main`, no function casts a caller's
-value to int64 past `as_int64`, and every cache is bounded."""
+value to int64 past `as_int64`, every cache is bounded, and the oracles
+stay off the datapath."""
 
 import ast
 from pathlib import Path
@@ -181,3 +182,51 @@ def test_unbounded_cache_check_sees_every_spelling():
            "def g(): pass\n")
     assert unbounded_caches(src) == ["line 2", "line 3", "line 5", "line 7",
                                      "line 9"]
+
+
+ORACLES = ("conv_direct", "gemm_oracle", "ipc_oracle")
+DATAPATH = {"im2col", "_im2col_map", "gemm_obc", "PreparedLut", "sa_run",
+            "piso_schedule"}
+
+
+def datapath_in_oracles(source: str) -> dict[str, list[str]]:
+    """Each oracle function defined in `source`, mapped to the datapath
+    names its body references, as a name or as an attribute.
+
+    An oracle is the independent reference a datapath is checked against,
+    so it may not reach the im2col gather, the GEMM kernel, the prepared
+    tables, the shift-accumulate run or the PISO schedule.
+    """
+    found = {}
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, ast.FunctionDef) and fn.name in ORACLES:
+            names = {getattr(n, "id", None) or getattr(n, "attr", None)
+                     for n in ast.walk(fn)
+                     if isinstance(n, (ast.Name, ast.Attribute))}
+            found[fn.name] = sorted(names & DATAPATH)
+    return found
+
+
+def test_oracles_reference_no_datapath():
+    found = {}
+    for path in MODULES:
+        found.update(datapath_in_oracles(path.read_text()))
+    assert found == {name: [] for name in ORACLES}
+
+
+def test_oracle_check_sees_names_and_attributes():
+    src = ("from comet import gemm_core\n"
+           "from comet.gemm_core import im2col\n"
+           "def conv_direct(x, w, b, cfg):\n"
+           "    return gemm_core.gemm_obc(w, im2col(x, cfg), b, cfg)\n"
+           "def gemm_oracle(theta, xcols, bias):\n"
+           "    return theta @ xcols + bias[:, None]\n"
+           "def ipc_oracle(problem):\n"
+           "    def inner():\n"
+           "        return sa_run(PreparedLut, piso_schedule)\n"
+           "    return inner()\n"
+           "def infer(x):\n"
+           "    return im2col(x), gemm_obc(x)\n")
+    assert datapath_in_oracles(src) == {
+        "conv_direct": ["gemm_obc", "im2col"], "gemm_oracle": [],
+        "ipc_oracle": ["PreparedLut", "piso_schedule", "sa_run"]}
