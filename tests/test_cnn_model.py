@@ -294,7 +294,9 @@ def test_conv_direct_rejects_operands_of_another_shape_or_type(x, w, bias,
     2x2, raise IndexError and raise UFuncTypeError."""
     with pytest.raises(ValueError, match=match):
         conv_direct(x, w, bias, CONV_2X2)
-    # integral values of any dtype pass unchanged
+
+
+def test_conv_direct_takes_integral_values_of_any_dtype():
     y = conv_direct(np.arange(9.0).reshape(1, 3, 3),
                     np.ones((2, 1, 2, 2), np.int8), [1.0, -1.0], CONV_2X2)
     assert y.tolist() == [[[9, 13], [21, 25]], [[7, 11], [19, 23]]]
