@@ -228,14 +228,23 @@ def infer_oracle(model: ModelSpec, weights, x: np.ndarray) -> list[int]:
     return [int(v) for v in _walk(model, weights, x, matmul)[-1]]
 
 
+def _magnitude(a: np.ndarray) -> int:
+    """max |a| as a Python integer (0 when empty): two reductions."""
+    return max(-int(a.min()), int(a.max())) if a.size else 0
+
+
 def conv_direct(x: np.ndarray, w: np.ndarray, bias: np.ndarray,
                 cfg: LayerConfigWord) -> np.ndarray:
-    """Sliding-window convolution (no im2col, no GEMM core): one exact int64
-    product of the (N, C*kh*kw) weights with the strided window view of the
-    input, padded at the bottom and right, laid out (C*kh*kw, H_out*W_out).
+    """Sliding-window convolution (no im2col, no GEMM core): one product of
+    the (N, C*kh*kw) weights with the strided window view of the input,
+    padded at the bottom and right, laid out (C*kh*kw, H_out*W_out).
 
-    Operands go through `as_int64`; an input other than (C, H, W), weights
-    other than (N, C, kh, kw) or biases other than (N,) raise ValueError.
+    The product is in int64 when no sum can leave it, with
+    C*kh*kw * max|x| * max|w| + max|bias| < 2^63; past that bound it is on
+    Python integers (an object array), so the result is exact at every
+    width.  Operands go through `as_int64`; an input other than (C, H, W),
+    weights other than (N, C, kh, kw) or biases other than (N,) raise
+    ValueError.
     """
     x, w, bias = (as_int64(a, what) for a, what in
                   ((x, "inputs"), (w, "weights"), (bias, "biases")))
@@ -248,7 +257,11 @@ def conv_direct(x: np.ndarray, w: np.ndarray, bias: np.ndarray,
     padded[:, :cfg.h, :cfg.w] = x
     windows = sliding_window_view(padded, (cfg.kh, cfg.kw), axis=(1, 2))
     cols = windows[:, ::cfg.s, ::cfg.s].transpose(0, 3, 4, 1, 2)
-    y = w.reshape(cfg.n, -1) @ cols.reshape(cfg.patch_len, -1)
+    w, cols = w.reshape(cfg.n, -1), cols.reshape(cfg.patch_len, -1)
+    if (cfg.patch_len * _magnitude(x) * _magnitude(w)
+            + _magnitude(bias) >= 1 << 63):
+        w, cols, bias = (a.astype(object) for a in (w, cols, bias))
+    y = w @ cols
     y += bias[:, None]
     return y.reshape(cfg.n, cfg.h_out, cfg.w_out)
 

@@ -10,9 +10,33 @@ negative, so the digits of a value v satisfy the doubled-domain identity
 which downstream code exploits to keep every intermediate an exact integer.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def as_int(value, what: str) -> int:
+    """`value` as a Python int by `operator.index`: numpy integers pass;
+    ValueError for anything that is not an integer (0.5, nan, "3")."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} {value!r} is not an integer") from None
+
+
+def as_ints(values, what: str) -> list[int]:
+    """`as_int` of every value, as a list; the error names the first that
+    is not an integer."""
+    try:
+        # a list: tuple() of a map resizes its result, and every resized
+        # tuple freed then waits in the interpreter's tuple free list
+        return [*map(operator.index, values)]
+    except TypeError:
+        pass
+    for v in values:
+        as_int(v, what)
+    raise ValueError(f"{what} values are not all integers")
 
 
 def as_int64(a, what: str) -> np.ndarray:
@@ -53,6 +77,16 @@ class FxpFormat:
 
     def contains(self, value: int) -> bool:
         return self.min_value <= value <= self.max_value
+
+    def check_ints(self, values, what: str) -> list[int]:
+        """`values` through `as_ints`; ValueError naming the first value
+        outside the format."""
+        values = as_ints(values, what)
+        lo, hi = self.min_value, self.max_value
+        if values and (min(values) < lo or max(values) > hi):
+            v = next(v for v in values if not lo <= v <= hi)
+            raise ValueError(f"{what} {v} outside {self.bits}-bit range")
+        return values
 
     def check(self, a, what: str) -> np.ndarray:
         """`a` through `as_int64`; ValueError unless every value fits."""

@@ -25,8 +25,7 @@ import numpy as np
 
 from .fxp import FxpFormat, as_int64
 from .im2col_addr import LayerConfigWord
-from .lut_arch import HYBRID, KINDS, field_entries, field_layout, \
-    mirror_read, padded_layout
+from .lut_arch import HYBRID, KINDS, field_entries, layout, mirror_read
 from .obc_ipc import Scheme, merged_offset
 # unused here: bench/tracing.py patches these names on this module
 from .obc_ipc import IpcProblem, ipc_obc  # noqa: F401
@@ -221,13 +220,6 @@ def _weight_side(theta, bias, scheme, arch, k_hw, b2):
 
 
 @lru_cache(maxsize=64)
-def _layout(kind, k_hw):
-    """(padded tile width, `field_layout` as a tuple) of a k_hw-wide tile."""
-    kq, q = padded_layout(k_hw)
-    return kq, tuple(field_layout(kind, kq, q))
-
-
-@lru_cache(maxsize=64)
 def _layout_constants(fields, kq):
     """Per-layout sign matrix (`field_entries` over unit coefficients),
     full sign matrix (kq x field value: the sign matrix through a +-1 fold
@@ -274,7 +266,8 @@ def _coef_half(cols, k_hw, arch, bits) -> _CoefHalf:
     """Tile the operands into float64 (exact for them and each tile's sum)
     and fill the full table of every field (one entry per field value) of
     every tile by one product with the layout's full sign matrix."""
-    kq, fields = _layout(arch, k_hw)
+    lay = layout(arch, k_hw)
+    kq, fields = lay.padded, lay.fields
     coef = _tiled(cols, k_hw, kq, np.float64)
     tiles, _, n_coef = coef.shape
     full = _layout_constants(fields, kq)[1].T @ coef    # (tiles, values, P)
@@ -291,7 +284,8 @@ def _serial_half(cols, k_hw, arch, b) -> _SerialHalf:
     AND and NOT keep that, so a mask read as a signed integer of its
     container is the b-bit two's-complement value's signed read count: the
     sum of +-2^s over its slices."""
-    kq, fields = _layout(arch, k_hw)
+    lay = layout(arch, k_hw)
+    kq, fields = lay.padded, lay.fields
     lit = _layout_constants(fields, kq)[2]
     size = (1, 2, 4, 4)[(b - 1) // 8]
     u = _tiled(cols, k_hw, kq, f"<u{size}")     # two's complement wraps

@@ -7,10 +7,11 @@ address, the same value a naive 2**K offset-binary table would hold:
 
 with b_1 the most-significant address bit.  What differs is what each
 technique stores: `field_layout` cuts the address into fields, each with
-a stored sub-table that may keep only its mirror half.  `PreparedLut`
-and the vectorized GEMM engine both read those tables, and the trace
-names the nodes each read touches, so structural claims (node sharing,
-half sums, pair nodes) are testable.  A closed-form cost model reports
+a stored sub-table that may keep only its mirror half; `layout` caches
+those facts per (kind, K, q).  `PreparedLut` and the vectorized GEMM
+engine both read those tables, and the trace names the nodes each read
+touches, so structural claims (node sharing, half sums, pair nodes) are
+testable.  A closed-form cost model reports
 adder/mux counts and critical-path delay per technique.
 
 Coefficient vectors whose length is not a multiple of the group size are
@@ -20,6 +21,9 @@ contributes 0*(2*0-1) = 0, leaving every value unchanged.
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
+from operator import itemgetter
+from typing import NamedTuple
 
 PARALLEL = "parallel"
 SHARED = "shared"
@@ -118,14 +122,16 @@ def field_layout(kind: str, padded: int, q: int) -> list[tuple[int, int, bool]]:
 def field_entries(coeffs, mirrored: bool) -> list:
     """Stored entries of one field, indexed by field value (MSB first).
 
-    Works on anything that adds and negates elementwise, so numpy columns
-    give a whole batch of tables at once.
+    Entry f is -sum(coeffs) plus twice the coefficients whose bit is set
+    in f; a mirrored field stops at the half whose MSB is 0.  Works on
+    anything that adds and negates elementwise, so numpy columns give a
+    whole batch of tables at once.
     """
-    entries = [0]
-    for c in reversed(coeffs[1:]):
-        entries = [e - c for e in entries] + [e + c for e in entries]
-    low = [e - coeffs[0] for e in entries]
-    return low if mirrored else low + [e + coeffs[0] for e in entries]
+    entries = [-sum(coeffs)]
+    for c in reversed(coeffs[1 if mirrored else 0:]):
+        d = 2 * c
+        entries += [e + d for e in entries]
+    return entries
 
 
 def mirror_read(f, width, mirrored):
@@ -138,11 +144,44 @@ def mirror_read(f, width, mirrored):
     return f ^ upper * ((1 << width) - 1), 1 - 2 * upper
 
 
+class Layout(NamedTuple):
+    """The layout facts of one (kind, k, q), from `layout`."""
+
+    padded: int     # address width after zero padding
+    q: int          # group size
+    fields: tuple   # `field_layout`: per field (start, width, mirrored)
+    reads: tuple    # per field (shift to its LSB, value mask, width, mirrored)
+    mirror: tuple   # per field: `itemgetter` giving the full table
+
+
+@lru_cache(maxsize=256)
+def layout(kind: str, k: int, q: int | None = None) -> Layout:
+    """`padded_layout` and `field_layout` of a k-long coefficient vector, with
+    each field's shift and mask and its mirror map.
+
+    The mirror map of a field takes its stored table followed by that
+    table negated and returns the full table, one entry per field value:
+    value f reads where `mirror_read` sends it.
+    """
+    padded, q = padded_layout(k, q)
+    fields = tuple(field_layout(kind, padded, q))
+    reads, mirror = [], []
+    for s, w, m in fields:
+        reads.append((padded - s - w, (1 << w) - 1, w, int(m)))
+        stored = 1 << (w - m)
+        # a negated read lands in the copy after the stored entries
+        mirror.append(itemgetter(*(
+            i + (sign < 0) * stored
+            for i, sign in (mirror_read(f, w, m) for f in range(1 << w)))))
+    return Layout(padded, q, fields, tuple(reads), tuple(mirror))
+
+
 class PreparedLut:
     """A LUT technique bound to one coefficient vector, evaluable per address.
 
-    Builds every stored field table once; a lookup reads one entry per
-    field and sums them.
+    Builds every stored field table once, and from it the field's full
+    table (one entry per field value); a lookup reads one full-table entry
+    per field and sums them.
     """
 
     def __init__(self, kind: str, coeffs: list[int], q: int | None = None):
@@ -150,28 +189,36 @@ class PreparedLut:
         self.k = len(coeffs)
         if self.k < 1:
             raise ValueError("need at least one coefficient")
-        kk, self.q = padded_layout(self.k, q)
-        fields = field_layout(kind, kk, self.q)
-        self.p = kk // self.q
-        self.padded = list(coeffs) + [0] * (kk - self.k)
+        lay = self._layout = layout(kind, self.k, q)
+        self.q = lay.q
+        self.p = lay.padded // lay.q
+        self._pad = lay.padded - self.k
+        self._size = 1 << self.k
+        self.padded = list(coeffs) + [0] * self._pad
         self.tables = [field_entries(self.padded[s:s + w], m)
-                       for s, w, m in fields]
-        self._pad = kk - self.k
-        # per field: (shift to its LSB, value mask, width, mirrored, table)
-        self._reads = [(kk - s - w, (1 << w) - 1, w, int(m), t)
-                       for (s, w, m), t in zip(fields, self.tables)]
+                       for s, w, m in lay.fields]
+        # per field: (shift to its LSB, value mask, full table)
+        self._full = [(shift, mask, full(t + [-e for e in t] if m else t))
+                      for (shift, mask, _, m), full, t
+                      in zip(lay.reads, lay.mirror, self.tables)]
+
+    @property
+    def _reads(self):
+        """Per field: (shift to its LSB, value mask, width, mirrored, table)."""
+        return [(*r, t) for r, t in zip(self._layout.reads, self.tables)]
 
     def _address(self, address: int) -> int:
-        if not 0 <= address < (1 << self.k):
+        if not 0 <= address < self._size:
             raise ValueError(f"address {address} outside [0, 2^{self.k})")
         return address << self._pad
 
     def value(self, address: int) -> int:
-        a = self._address(address)
+        if not 0 <= address < self._size:
+            self._address(address)          # raises the range error
+        a = address << self._pad
         total = 0
-        for shift, mask, w, m, table in self._reads:
-            i, sign = mirror_read((a >> shift) & mask, w, m)
-            total += sign * table[i]
+        for shift, mask, full in self._full:
+            total += full[a >> shift & mask]
         return total
 
     def eval(self, address: int, record: bool = False):

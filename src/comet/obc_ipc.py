@@ -12,8 +12,11 @@ the direct multiply-accumulate oracle exactly.
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
+from itertools import accumulate
+from operator import lshift, mul
 
-from .fxp import FxpFormat
+from .fxp import FxpFormat, as_int, as_ints
 from .lut_arch import KINDS, PreparedLut
 
 NAIVE_K_LIMIT = 24
@@ -29,7 +32,9 @@ class IpcProblem:
     """One K-length inner product with its serialization scheme.
 
     `coeffs` feed the LUT (weights under Scheme A, inputs under Scheme B);
-    `serial_operands` are bit-sliced over `serial_bits` cycles.
+    `serial_operands` are bit-sliced over `serial_bits` cycles.  Both must
+    be integers within their formats (`FxpFormat.check_ints`) and are
+    stored as tuples of Python ints; the bias must be an integer.
     """
 
     coeffs: tuple[int, ...]
@@ -40,16 +45,15 @@ class IpcProblem:
     serial_fmt: FxpFormat
 
     def __post_init__(self):
-        if len(self.coeffs) != len(self.serial_operands):
+        coeffs = self.coeff_fmt.check_ints(self.coeffs, "coefficient")
+        serial = self.serial_fmt.check_ints(self.serial_operands, "operand")
+        if len(coeffs) != len(serial):
             raise ValueError("coeffs and serial operands must have equal length")
-        if not 1 <= len(self.coeffs):
+        if not coeffs:
             raise ValueError("K must be at least 1")
-        for v in self.coeffs:
-            if not self.coeff_fmt.contains(v):
-                raise ValueError(f"coefficient {v} outside {self.coeff_fmt.bits}-bit range")
-        for v in self.serial_operands:
-            if not self.serial_fmt.contains(v):
-                raise ValueError(f"operand {v} outside {self.serial_fmt.bits}-bit range")
+        object.__setattr__(self, "coeffs", tuple(coeffs))
+        object.__setattr__(self, "serial_operands", tuple(serial))
+        object.__setattr__(self, "bias", as_int(self.bias, "bias"))
 
     @classmethod
     def from_vectors(cls, weights, inputs, bias, scheme, fmt_in: FxpFormat,
@@ -57,9 +61,9 @@ class IpcProblem:
         """Arrange a (weights, inputs) pair according to the scheme."""
         scheme = Scheme(scheme)
         if scheme is Scheme.A:
-            return cls(tuple(weights), tuple(inputs), bias, scheme,
+            return cls(weights, inputs, bias, scheme,
                        coeff_fmt=fmt_wt, serial_fmt=fmt_in)
-        return cls(tuple(inputs), tuple(weights), bias, scheme,
+        return cls(inputs, weights, bias, scheme,
                    coeff_fmt=fmt_in, serial_fmt=fmt_wt)
 
     @property
@@ -100,23 +104,35 @@ def merged_offset(coeffs, bias: int) -> int:
     return -sum(coeffs) + 2 * bias
 
 
+@lru_cache(maxsize=64)
+def _spread(k: int) -> tuple[int, ...]:
+    """Byte value -> its bits spread to stride k (bit j moves to bit j*k)."""
+    return tuple(sum((v >> j & 1) << j * k for j in range(8))
+                 for v in range(256))
+
+
 def piso_schedule(operands, b: int) -> list[int]:
     """Transpose operand words into per-slice LUT addresses, LSB slice first.
 
     Address bit order puts operand 0 at the most significant position.
+    Operands are integers (`fxp.as_ints`) that fit b bits; ValueError
+    otherwise.
     """
-    ops = [int(v) for v in operands]
+    ops = as_ints(operands, "operand")
     lo, hi = -(1 << (b - 1)), (1 << (b - 1)) - 1
-    for v in ops:
-        if not lo <= v <= hi:
-            raise ValueError(f"operand {v} does not fit {b} bits")
-    addrs = []
-    for shift in range(b):
-        addr = 0
+    if ops and (min(ops) < lo or max(ops) > hi):
+        v = next(v for v in ops if not lo <= v <= hi)
+        raise ValueError(f"operand {v} does not fit {b} bits")
+    # slice r of the operands sits in bits r*k .. r*k + k - 1 of `word`
+    k = len(ops)
+    spread, word = _spread(k), 0
+    for j in range(0, b, 8):
+        plane = 0
         for v in ops:
-            addr = (addr << 1) | ((v >> shift) & 1)
-        addrs.append(addr)
-    return addrs
+            plane = plane << 1 | spread[v >> j & 255]
+        word |= plane << j * k
+    mask = (1 << k) - 1
+    return list(map(mask.__and__, map(word.__rshift__, range(0, b * k, k))))
 
 
 def sa_run(lut, serial_operands, serial_bits: int, init: int,
@@ -124,29 +140,34 @@ def sa_run(lut, serial_operands, serial_bits: int, init: int,
     """Shift-accumulate over the bit-slices of the serial operands.
 
     Slices are consumed LSB-first; the sign slice's table output is
-    accumulated negated.  `lut` is anything callable on an address.
-    Returns the halved (true-domain) result plus, with `record`, the
-    trace: `address`, `lut_output` and `accumulator` lists, one entry
-    per slice, LSB slice first (the keys of `gemm_obc(record=True)`).
+    accumulated negated.  `lut` is anything callable on an address; it is
+    called once per slice.  Returns the halved (true-domain) result plus,
+    with `record`, the trace: `address`, `lut_output` and `accumulator`
+    lists, one entry per slice, LSB slice first (the keys of
+    `gemm_obc(record=True)`).
     """
-    b = serial_bits
-    acc = init
-    trace = ({"address": [], "lut_output": [], "accumulator": []}
-             if record else None)
-    for shift, addr in enumerate(piso_schedule(serial_operands, b)):
-        out = lut(addr)
-        acc += (-out if shift == b - 1 else out) << shift
-        if record:
-            trace["address"].append(addr)
-            trace["lut_output"].append(out)
-            trace["accumulator"].append(acc)
+    addrs = piso_schedule(serial_operands, serial_bits)
+    outs = list(map(lut, addrs))
+    steps = list(map(lshift, outs, range(serial_bits)))
+    steps[-1] = -steps[-1]
+    trace = None
+    if record:
+        accs = list(accumulate(steps, initial=init))[1:]
+        acc = accs[-1]
+        trace = {"address": addrs, "lut_output": outs, "accumulator": accs}
+    else:
+        acc = init + sum(steps)
     assert acc % 2 == 0, "doubled-domain accumulator must be even"
     return acc >> 1, trace
 
 
 def ipc_oracle(weights, inputs, bias: int = 0) -> int:
-    """Ground truth: direct wide-integer multiply-accumulate."""
-    return sum(int(w) * int(x) for w, x in zip(weights, inputs)) + bias
+    """Ground truth: direct wide-integer multiply-accumulate.
+
+    Every operand must be an integer (`fxp.as_ints`); ValueError otherwise.
+    """
+    return sum(map(mul, as_ints(weights, "weight"), as_ints(inputs, "input"))
+               ) + as_int(bias, "bias")
 
 
 def ipc_obc(problem: IpcProblem, lut_impl: str = "naive",
@@ -156,7 +177,7 @@ def ipc_obc(problem: IpcProblem, lut_impl: str = "naive",
     `lut_impl` selects a structural technique ("parallel", "shared",
     "split", "hybrid") or the naive dense table ("naive").
     """
-    coeffs = list(problem.coeffs)
+    coeffs = problem.coeffs
     if lut_impl == "naive":
         lut = build_naive_lut(coeffs)
     elif lut_impl in KINDS:

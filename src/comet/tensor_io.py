@@ -100,6 +100,8 @@ def read_cbt(path) -> np.ndarray:
 # -- SplitMix64: standard constants, fully deterministic across platforms
 
 _MASK = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1, _MIX2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 
 
 class SplitMix64:
@@ -107,20 +109,34 @@ class SplitMix64:
         self.state = seed & _MASK
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-        return z ^ (z >> 31)
+        return self.next_int(64) + (1 << 63)
 
     def next_int(self, bits: int) -> int:
         """Uniform value in [-2**(bits-1), 2**(bits-1) - 1]."""
-        return (self.next_u64() % (1 << bits)) - (1 << (bits - 1))
+        z = self.state = (self.state + _GAMMA) & _MASK
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK
+        return ((z ^ (z >> 31)) % (1 << bits)) - (1 << (bits - 1))
 
     def fill(self, shape, bits: int) -> np.ndarray:
+        """`next_int(bits)` drawn prod(shape) times, as an int64 array of
+        `shape`; bits in [1, 64].  Computed in uint64, which wraps mod
+        2**64 as the masks of `next_int` do."""
+        if not 1 <= bits <= 64:
+            raise ValueError(f"bits must be in [1, 64], got {bits}")
         n = int(np.prod(shape, dtype=np.int64))
-        vals = [self.next_int(bits) for _ in range(n)]
-        return np.array(vals, dtype=np.int64).reshape(shape)
+        steps = np.arange(1, n + 1, dtype=np.uint64)
+        z = np.uint64(self.state) + np.uint64(_GAMMA) * steps
+        self.state = (self.state + n * _GAMMA) & _MASK
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(_MIX1)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+        # the low `bits` bits, top bit flipped, read as signed: u - 2**(bits-1)
+        z <<= np.uint64(64 - bits)
+        z ^= np.uint64(1 << 63)
+        return (z.view(np.int64) >> (64 - bits)).reshape(shape)
 
 
 @dataclass

@@ -279,6 +279,25 @@ def test_conv_direct_equals_element_loop(c, kh, kw, s, p, h, w, n, seed):
         _conv_loop(x, wt, bias, cfg)
 
 
+def test_conv_direct_is_exact_past_int64():
+    """Four products of (-2^31)^2 sum to 2^64: this returned [0] when the
+    product wrapped in int64.  Past the bound the result is exact on Python
+    integers; at it, int64 is kept."""
+    cfg = LayerConfigWord(c=1, kh=2, kw=2, s=1, p=0, n=1, b=32, h=2, w=2)
+    v = -(1 << 31)
+    x, w = np.full((1, 2, 2), v), np.full((1, 1, 2, 2), v)
+    assert conv_direct(x, w, [0], cfg).tolist() == [[[1 << 64]]]
+    assert conv_direct(x, w, [v], cfg).tolist() == [[[(1 << 64) + v]]]
+    one = LayerConfigWord(c=1, kh=1, kw=1, s=1, p=0, n=1, b=32, h=1, w=1)
+    y = conv_direct(np.full((1, 1, 1), v), np.full((1, 1, 1, 1), v),
+                    [-v - 1], one)      # 2^62 + 2^31 - 1 < 2^63
+    assert y.dtype == np.int64 and y.tolist() == [[[v * v - v - 1]]]
+    wide = LayerConfigWord(c=2, kh=3, kw=2, s=2, p=1, n=3, b=32, h=5, w=4)
+    xs, ws, bs = _conv_operands(wide, 32, 32, seed=9)
+    assert conv_direct(xs, ws, bs, wide).ravel().tolist() == \
+        _conv_loop(xs, ws, bs, wide)
+
+
 CONV_2X2 = LayerConfigWord(c=1, kh=2, kw=2, s=1, p=0, n=2, b=8, h=3, w=3)
 
 

@@ -4,6 +4,7 @@ Bit slicing is `piso_schedule`'s: a single operand's per-slice addresses
 are its bits, LSB first.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -37,6 +38,16 @@ def test_bit_slice_examples():
     assert piso_schedule([-3], 4) == [1, 0, 1, 1]   # two's complement 1101
     assert piso_schedule([-8], 4) == [0, 0, 0, 1]
     assert piso_schedule([7], 4) == [1, 1, 1, 0]
+
+
+def test_check_ints_names_the_first_offender():
+    fmt = FxpFormat(4)
+    got = fmt.check_ints(np.array([-8, 7]), "operand")
+    assert got == [-8, 7] and all(type(v) is int for v in got)
+    with pytest.raises(ValueError, match="operand 9 outside 4-bit range"):
+        fmt.check_ints([1, 9, -9], "operand")
+    with pytest.raises(ValueError, match="operand 0.5 is not an integer"):
+        fmt.check_ints([1, 0.5, 99], "operand")
 
 
 def test_bit_slice_rejects_out_of_range():

@@ -13,6 +13,7 @@ from comet.lut_arch import (
     LutArch,
     PreparedLut,
     lut_cost,
+    mirror_read,
     split_total_adders,
 )
 from comet.obc_ipc import build_naive_lut
@@ -23,7 +24,7 @@ def _coeffs(k, salt=0):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("k", [2, 4, 6, 8])
+@pytest.mark.parametrize("k", range(1, 13))
 def test_values_match_naive_table(kind, k):
     coeffs = _coeffs(k)
     naive = build_naive_lut(coeffs)
@@ -32,13 +33,40 @@ def test_values_match_naive_table(kind, k):
         assert lut.value(addr) == naive(addr), (kind, k, addr)
 
 
+def _admitted_qs(kind, k):
+    """Every group size that factors K and the technique admits."""
+    return [q for q in range(1, k + 1) if k % q == 0
+            and (kind not in (SPLIT, HYBRID) or q % 2 == 0)]
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_values_with_explicit_q(kind):
-    coeffs = _coeffs(8, salt=3)
-    naive = build_naive_lut(coeffs)
-    lut = PreparedLut(kind, coeffs, q=2)
-    for addr in range(1 << 8):
-        assert lut.value(addr) == naive(addr)
+    """Every admitted q at K = 1..12 (q = 2 at K = 8 among them)."""
+    for k in range(1, 13):
+        coeffs = _coeffs(k, salt=3)
+        naive = build_naive_lut(coeffs)
+        for q in _admitted_qs(kind, k):
+            lut = PreparedLut(kind, coeffs, q=q)
+            assert [lut.value(a) for a in range(1 << k)] == naive.entries, \
+                (k, q)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("k", [1, 3, 4, 8, 12])
+def test_full_tables_are_stored_tables_read_through_mirror(kind, k):
+    """The table each read uses holds, at every field value, the stored
+    entry that `mirror_read` names, with its sign."""
+    for q in [None] + _admitted_qs(kind, k):
+        lut = PreparedLut(kind, _coeffs(k, salt=5), q=q)
+        assert len(lut._full) == len(lut._reads) == len(lut.tables)
+        for (shift, mask, full), (shift_r, mask_r, w, m, table) in zip(
+                lut._full, lut._reads):
+            assert (shift, mask) == (shift_r, mask_r) and len(full) == 1 << w
+            want = []
+            for f in range(1 << w):
+                i, sign = mirror_read(f, w, m)
+                want.append(sign * table[i])
+            assert list(full) == want, (q, shift)
 
 
 @pytest.mark.parametrize("kind", KINDS)

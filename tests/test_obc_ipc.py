@@ -1,7 +1,9 @@
 """Naive offset-binary table, merged offset, and shift-accumulate runs."""
 
 import itertools
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,6 +17,7 @@ from comet.obc_ipc import (
     ipc_obc,
     ipc_oracle,
     merged_offset,
+    piso_schedule,
     sa_run,
 )
 
@@ -91,6 +94,77 @@ def test_sa_run_rejects_overwide_operand():
         sa_run(lut, [2], 2, merged_offset([1], 0))
 
 
+def _piso_loop(operands, b):
+    """The reference transposition: one bit per operand and slice."""
+    addrs = []
+    for shift in range(b):
+        addr = 0
+        for v in operands:
+            addr = (addr << 1) | ((v >> shift) & 1)
+        addrs.append(addr)
+    return addrs
+
+
+@pytest.mark.parametrize("b", [2, 8, 17, 32])
+@pytest.mark.parametrize("k", [1, 3, 16, 25])
+def test_piso_equals_bit_loop(k, b):
+    lo, hi = -(1 << (b - 1)), (1 << (b - 1)) - 1
+    rng = random.Random(k * 100 + b)
+    cases = [[lo] * k, [hi] * k, [-1] * k, [0] * k,
+             [(lo, hi, -1, 0)[i % 4] for i in range(k)]]
+    cases += [[rng.randint(lo, hi) for _ in range(k)] for _ in range(50)]
+    for ops in cases:
+        assert piso_schedule(ops, b) == _piso_loop(ops, b), ops
+
+
+def test_sa_run_reads_the_lut_once_per_slice():
+    coeffs = [3, -5, 7]
+    naive = build_naive_lut(coeffs)
+    reads = []
+
+    def lut(address):
+        reads.append(address)
+        return naive(address)
+
+    for record in (False, True):
+        reads.clear()
+        res, _ = sa_run(lut, [1, -4, 3], 6, merged_offset(coeffs, 2),
+                        record=record)
+        assert res == 3 * 1 - 5 * -4 + 7 * 3 + 2
+        assert reads == piso_schedule([1, -4, 3], 6)
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.7, float("nan"), np.float64(2.0),
+                                 "3"])
+def test_operands_must_be_integers(bad):
+    """`operator.index` semantics: these used to be truncated or compared
+    as floats (`ipc_oracle([0.5], [3])` gave 0, `piso_schedule` read 1.7
+    as 1 and `IpcProblem` took 0.5)."""
+    fmt = FxpFormat(4)
+    with pytest.raises(ValueError, match="is not an integer"):
+        ipc_oracle([bad], [3])
+    with pytest.raises(ValueError, match="is not an integer"):
+        ipc_oracle([3], [1], bad)
+    with pytest.raises(ValueError, match="is not an integer"):
+        piso_schedule([bad, 2], 4)
+    for scheme in Scheme:
+        with pytest.raises(ValueError, match="is not an integer"):
+            IpcProblem.from_vectors([bad], [1], 0, scheme, fmt, fmt)
+        with pytest.raises(ValueError, match="is not an integer"):
+            IpcProblem.from_vectors([1], [1], bad, scheme, fmt, fmt)
+
+
+def test_numpy_integers_are_integers():
+    w, x = np.array([3, -5], np.int8), np.array([1, -2], np.int64)
+    fmt = FxpFormat(4)
+    assert ipc_oracle(w, x, np.int16(4)) == 17
+    assert piso_schedule(x, 4) == piso_schedule([1, -2], 4)
+    prob = IpcProblem.from_vectors(w, x, np.int32(4), Scheme.B, fmt, fmt)
+    assert prob.coeffs == (1, -2) and prob.serial_operands == (3, -5)
+    assert all(type(v) is int for v in prob.coeffs + prob.serial_operands)
+    assert ipc_obc(prob, "hybrid", record=False)[0] == 17
+
+
 def test_obclut_callable():
     lut = ObcLut([1, 2, 3, 4], 2)
     assert lut(2) == 3
@@ -100,8 +174,12 @@ def test_ipc_problem_validation():
     fi, fw = FxpFormat(4), FxpFormat(4)
     with pytest.raises(ValueError):
         IpcProblem.from_vectors([1, 2], [3], 0, Scheme.A, fi, fw)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="coefficient 99 outside 4-bit"):
         IpcProblem.from_vectors([1, 99], [3, 4], 0, Scheme.A, fi, fw)
+    with pytest.raises(ValueError, match="operand -9 outside 4-bit"):
+        IpcProblem.from_vectors([1, 2], [3, -9], 0, Scheme.A, fi, fw)
+    with pytest.raises(ValueError, match="K must be at least 1"):
+        IpcProblem.from_vectors([], [], 0, Scheme.A, fi, fw)
 
 
 def test_ipc_problem_scheme_arrangement():

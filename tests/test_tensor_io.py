@@ -131,6 +131,27 @@ def test_splitmix_int_range():
     assert min(vals) < -100 and max(vals) > 100  # actually spreads
 
 
+@pytest.mark.parametrize("bits", [2, 8, 32])
+@pytest.mark.parametrize("shape", [(0,), (3, 0), (1,), (7,), (2, 3, 5)])
+def test_fill_equals_next_int_loop(shape, bits):
+    """`fill` draws in numpy uint64; a `next_int` loop is the reference,
+    for the values and the state left afterwards."""
+    for seed in (0, 42, 2 ** 64 - 1):
+        rng, ref = SplitMix64(seed), SplitMix64(seed)
+        got = rng.fill(shape, bits)
+        want = [ref.next_int(bits) for _ in range(int(np.prod(shape)))]
+        assert got.dtype == np.int64 and got.shape == shape
+        assert got.ravel().tolist() == want
+        assert rng.state == ref.state
+        assert rng.next_int(bits) == ref.next_int(bits)
+
+
+def test_fill_rejects_bits_outside_1_64():
+    for bits in (0, 65):
+        with pytest.raises(ValueError):
+            SplitMix64(0).fill((2,), bits)
+
+
 def test_gen_input_deterministic():
     a = gen_input(5, (1, 4, 4), 8)
     b = gen_input(5, (1, 4, 4), 8)
