@@ -7,8 +7,8 @@ the coefficient and serial operands and transposes the result).  It is
 operand-major: R operands (activations or weight rows) are tiled as
 (tiles, kq, R), straight into the dtype of the half they feed, and each
 half gives (tiles * values, R) arrays.  The coefficient half holds every
-tile's full field tables (an entry per value of each field of
-`comet.lut_arch.field_layout`, mirrored reads folded in); the serial half
+tile's full field tables (an entry per value of each field, as
+`comet.lut_arch.Layout.tables` derives them); the serial half
 counts the table reads of all bit-slices at once, with one bit mask per
 field value; one exact float64 product of the two sums the reads,
 transposing neither, into accumulators started at the merged offset.
@@ -25,7 +25,7 @@ import numpy as np
 
 from .fxp import FxpFormat, as_int64
 from .im2col_addr import LayerConfigWord
-from .lut_arch import HYBRID, KINDS, field_entries, layout, mirror_read
+from .lut_arch import HYBRID, layout
 from .obc_ipc import Scheme, merged_offset
 # unused here: bench/tracing.py patches these names on this module
 from .obc_ipc import IpcProblem, ipc_obc  # noqa: F401
@@ -45,8 +45,7 @@ class GemmConfig:
     def __post_init__(self):
         if self.k_hw < 1 or self.l < 1:
             raise ValueError("k_hw and l must be positive")
-        if self.arch not in KINDS:
-            raise ValueError(f"unknown LUT technique {self.arch!r}")
+        layout(self.arch, self.k_hw)    # rejects an unknown technique
 
     @property
     def serial_bits(self) -> int:
@@ -220,29 +219,22 @@ def _weight_side(theta, bias, scheme, arch, k_hw, b2):
 
 
 @lru_cache(maxsize=64)
-def _layout_constants(fields, kq):
-    """Per-layout sign matrix (`field_entries` over unit coefficients),
-    full sign matrix (kq x field value: the sign matrix through a +-1 fold
-    to where `mirror_read` sends each value) and mask literals (per field
-    operand, MSB first, an operand of [~u, u]); values ascend field by field.
-    Read-only."""
-    unit = list(np.eye(kq))
-    entries = [field_entries(unit[s:s + w], m) for s, w, m in fields]
-    offset = np.cumsum([0] + [len(e) for e in entries])
-    f, start, w, m, first = (np.array(a) for a in zip(*(
-        (v, s, w, m, o) for (s, w, m), o in zip(fields, offset)
-        for v in range(1 << w))))
-    index, sign = mirror_read(f, w, m)
-    fold = np.zeros((len(f), offset[-1]))
-    fold[np.arange(len(f)), first + index] = sign
+def _kernel(arch, k_hw):
+    """(kq, signs, lit) of a (technique, k_hw) layout, read-only: the
+    padded width, the (values, kq) full sign matrix (`Layout.tables` over
+    the rows of eye(kq)) and the mask literals (per field operand, MSB
+    first, an operand of [~u, u]).  Values ascend field by field."""
+    lay = layout(arch, k_hw)
+    kq = lay.padded
+    signs = np.concatenate([f for *_, f in lay.tables(list(np.eye(kq)))[1]])
+    f, start, w = (np.array(a) for a in zip(*(
+        (v, s, w) for s, w, _ in lay.fields for v in range(1 << w))))
     # a narrower field repeats its last operand: AND ignores the repeat
     j = np.minimum(np.arange(w.max()), w[:, None] - 1)
     lit = start[:, None] + j + kq * (f[:, None] >> (w[:, None] - 1 - j) & 1)
-    signs = np.stack(sum(entries, []), axis=1)
-    consts = (signs, signs @ fold.T, lit.T)
-    for a in consts:
+    for a in (signs, lit):
         a.flags.writeable = False
-    return consts
+    return kq, signs, lit.T
 
 
 class _CoefHalf(NamedTuple):
@@ -266,11 +258,10 @@ def _coef_half(cols, k_hw, arch, bits) -> _CoefHalf:
     """Tile the operands into float64 (exact for them and each tile's sum)
     and fill the full table of every field (one entry per field value) of
     every tile by one product with the layout's full sign matrix."""
-    lay = layout(arch, k_hw)
-    kq, fields = lay.padded, lay.fields
+    kq, signs, _ = _kernel(arch, k_hw)
     coef = _tiled(cols, k_hw, kq, np.float64)
     tiles, _, n_coef = coef.shape
-    full = _layout_constants(fields, kq)[1].T @ coef    # (tiles, values, P)
+    full = signs @ coef                             # (tiles, values, P)
     return _CoefHalf(full.reshape(tiles * full.shape[1], n_coef),
                      coef.sum(axis=1).astype(np.int64), bits)
 
@@ -284,9 +275,7 @@ def _serial_half(cols, k_hw, arch, b) -> _SerialHalf:
     AND and NOT keep that, so a mask read as a signed integer of its
     container is the b-bit two's-complement value's signed read count: the
     sum of +-2^s over its slices."""
-    lay = layout(arch, k_hw)
-    kq, fields = lay.padded, lay.fields
-    lit = _layout_constants(fields, kq)[2]
+    kq, _, lit = _kernel(arch, k_hw)
     size = (1, 2, 4, 4)[(b - 1) // 8]
     u = _tiled(cols, k_hw, kq, f"<u{size}")     # two's complement wraps
     tiles, _, n_serial = u.shape

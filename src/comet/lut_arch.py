@@ -8,11 +8,11 @@ address, the same value a naive 2**K offset-binary table would hold:
 with b_1 the most-significant address bit.  What differs is what each
 technique stores: `field_layout` cuts the address into fields, each with
 a stored sub-table that may keep only its mirror half; `layout` caches
-those facts per (kind, K, q).  `PreparedLut` and the vectorized GEMM
-engine both read those tables, and the trace names the nodes each read
-touches, so structural claims (node sharing, half sums, pair nodes) are
-testable.  A closed-form cost model reports
-adder/mux counts and critical-path delay per technique.
+those facts per (kind, K, q), and `Layout.tables` derives every table
+from coefficients, for `PreparedLut` and (over unit coefficients) the
+vectorized GEMM engine.  The trace names the nodes each read touches, so
+structural claims (node sharing, half sums, pair nodes) are testable.  A
+closed-form cost model reports adder/mux counts and critical-path delay.
 
 Coefficient vectors whose length is not a multiple of the group size are
 zero-padded at the tail; a zero coefficient with a zero address bit
@@ -46,16 +46,11 @@ class LutArch:
     q: int
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown LUT kind {self.kind!r}")
         if self.p < 1 or self.q < 1 or self.p * self.q != self.k:
             raise FactorizationError(
                 f"K={self.k} does not factor as p*q with p={self.p}, q={self.q}"
             )
-        if self.kind == SPLIT and self.q % 2 != 0:
-            raise FactorizationError(f"split LUT needs even q, got q={self.q}")
-        if self.kind == HYBRID and (self.q < 2 or self.q % 2 != 0):
-            raise FactorizationError(f"hybrid LUT needs even q >= 2, got q={self.q}")
+        field_layout(self.kind, self.k, self.q)     # the technique's rules
 
 
 @dataclass
@@ -150,8 +145,18 @@ class Layout(NamedTuple):
     padded: int     # address width after zero padding
     q: int          # group size
     fields: tuple   # `field_layout`: per field (start, width, mirrored)
-    reads: tuple    # per field (shift to its LSB, value mask, width, mirrored)
+    reads: tuple    # per field (shift to its LSB, value mask)
     mirror: tuple   # per field: `itemgetter` giving the full table
+
+    def tables(self, coeffs) -> tuple[list, list]:
+        """Stored and full tables of coefficients padded to `padded`: per
+        field, its `field_entries`, and (shift, mask, full table), the full
+        table read through `mirror`, one entry per field value.  Works on
+        numpy vectors as on ints, as `field_entries` does."""
+        stored = [field_entries(coeffs[s:s + w], m) for s, w, m in self.fields]
+        return stored, [(shift, mask, full(t + [-e for e in t] if m else t))
+                        for (_, _, m), (shift, mask), full, t
+                        in zip(self.fields, self.reads, self.mirror, stored)]
 
 
 @lru_cache(maxsize=256)
@@ -167,7 +172,7 @@ def layout(kind: str, k: int, q: int | None = None) -> Layout:
     fields = tuple(field_layout(kind, padded, q))
     reads, mirror = [], []
     for s, w, m in fields:
-        reads.append((padded - s - w, (1 << w) - 1, w, int(m)))
+        reads.append((padded - s - w, (1 << w) - 1))
         stored = 1 << (w - m)
         # a negated read lands in the copy after the stored entries
         mirror.append(itemgetter(*(
@@ -195,17 +200,15 @@ class PreparedLut:
         self._pad = lay.padded - self.k
         self._size = 1 << self.k
         self.padded = list(coeffs) + [0] * self._pad
-        self.tables = [field_entries(self.padded[s:s + w], m)
-                       for s, w, m in lay.fields]
-        # per field: (shift to its LSB, value mask, full table)
-        self._full = [(shift, mask, full(t + [-e for e in t] if m else t))
-                      for (shift, mask, _, m), full, t
-                      in zip(lay.reads, lay.mirror, self.tables)]
+        # _full, per field: (shift to its LSB, value mask, full table)
+        self.tables, self._full = lay.tables(self.padded)
 
     @property
     def _reads(self):
         """Per field: (shift to its LSB, value mask, width, mirrored, table)."""
-        return [(*r, t) for r, t in zip(self._layout.reads, self.tables)]
+        lay = self._layout
+        return [(*r, w, m, t)
+                for r, (_, w, m), t in zip(lay.reads, lay.fields, self.tables)]
 
     def _address(self, address: int) -> int:
         if not 0 <= address < self._size:

@@ -17,7 +17,7 @@ from itertools import accumulate
 from operator import lshift, mul
 
 from .fxp import FxpFormat, as_int, as_ints
-from .lut_arch import KINDS, PreparedLut
+from .lut_arch import PreparedLut
 
 NAIVE_K_LIMIT = 24
 
@@ -164,10 +164,13 @@ def sa_run(lut, serial_operands, serial_bits: int, init: int,
 def ipc_oracle(weights, inputs, bias: int = 0) -> int:
     """Ground truth: direct wide-integer multiply-accumulate.
 
-    Every operand must be an integer (`fxp.as_ints`); ValueError otherwise.
+    Every operand must be an integer (`fxp.as_ints`) and the two vectors
+    equally long; ValueError otherwise.
     """
-    return sum(map(mul, as_ints(weights, "weight"), as_ints(inputs, "input"))
-               ) + as_int(bias, "bias")
+    weights, inputs = as_ints(weights, "weight"), as_ints(inputs, "input")
+    if len(weights) != len(inputs):
+        raise ValueError(f"{len(weights)} weights but {len(inputs)} inputs")
+    return sum(map(mul, weights, inputs)) + as_int(bias, "bias")
 
 
 def ipc_obc(problem: IpcProblem, lut_impl: str = "naive",
@@ -175,15 +178,14 @@ def ipc_obc(problem: IpcProblem, lut_impl: str = "naive",
     """Evaluate one inner product through the OBC datapath.
 
     `lut_impl` selects a structural technique ("parallel", "shared",
-    "split", "hybrid") or the naive dense table ("naive").
+    "split", "hybrid"; `PreparedLut` rejects any other) or the naive dense
+    table ("naive").
     """
     coeffs = problem.coeffs
     if lut_impl == "naive":
         lut = build_naive_lut(coeffs)
-    elif lut_impl in KINDS:
-        lut = PreparedLut(lut_impl, coeffs).value
     else:
-        raise ValueError(f"unknown LUT implementation {lut_impl!r}")
+        lut = PreparedLut(lut_impl, coeffs).value
     init = merged_offset(coeffs, problem.bias)
     return sa_run(lut, problem.serial_operands, problem.serial_bits, init,
                   record=record)

@@ -22,6 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .fxp import FxpFormat, as_int64
+
 MAGIC = b"CBT1"
 VERSION = 1
 _DTYPES = {0: np.int8, 1: np.int16, 2: np.int32}
@@ -53,6 +55,7 @@ def write_cbt(tensor: np.ndarray, path) -> None:
     tensor = np.asarray(tensor)
     dt = np.dtype(tensor.dtype)
     if dt not in _CODES:
+        tensor = as_int64(tensor, "tensor values")
         # pick the narrowest container that holds the values
         lo = int(tensor.min()) if tensor.size else 0
         hi = int(tensor.max()) if tensor.size else 0
@@ -162,11 +165,13 @@ class WeightBundle:
         return iter(self.layers)
 
     def digest(self) -> str:
-        """SHA-256 over the canonical little-endian serialization."""
+        """SHA-256 over the canonical little-endian serialization, every
+        value as i32; ValueError for a value that is not an i32 integer."""
         h = hashlib.sha256()
         for idx in sorted(self.layers):
             lw = self.layers[idx]
             for arr in (lw.weight, lw.bias):
+                arr = FxpFormat(32).check(arr, "bundle values")
                 h.update(struct.pack("<B", len(arr.shape)))
                 for d in arr.shape:
                     h.update(struct.pack("<I", d))
@@ -201,8 +206,8 @@ def save_weight_bundle(bundle: WeightBundle, model, directory) -> None:
     for idx in sorted(bundle.layers):
         lw = bundle.layers[idx]
         wf, bf = f"layer{idx}.weight.cbt", f"layer{idx}.bias.cbt"
-        write_cbt(lw.weight.astype(np.int32), directory / wf)
-        write_cbt(lw.bias.astype(np.int32), directory / bf)
+        write_cbt(lw.weight, directory / wf)
+        write_cbt(lw.bias, directory / bf)
         manifest["layers"][str(idx)] = {
             "weight": wf, "bias": bf, "shift": lw.shift}
     (directory / "manifest.json").write_text(

@@ -9,7 +9,7 @@ from comet.gemm_core import (
     _im2col_map,
     _coef_half,
     _content,
-    _layout_constants,
+    _kernel,
     _product,
     _serial_half,
     _weight_side,
@@ -367,13 +367,28 @@ def test_gemm_at_largest_slice_weight(scheme, arch):
     cfg = GemmConfig(k_hw=8, l=1, scheme=scheme, arch=arch, b1=b1, b2=b2)
     y, _, _ = gemm_obc(theta, x, bias, cfg)
     assert (y == gemm_oracle(theta, x, bias)).all()
-    # the kernel's tables (sign-matrix product) are PreparedLut's, here
-    # at 32-bit coefficients with entries up to 2^33
+    # the kernel's full tables (sign-matrix product) are PreparedLut's,
+    # here at 32-bit coefficients with entries up to 2^33
     coeffs = [-(1 << 31)] * 5 + _rand((3,), 32, seed=64).tolist()
-    kq, q = padded_layout(len(coeffs))
-    signs = _layout_constants(tuple(field_layout(arch, kq, q)), kq)[0]
-    want = np.concatenate(PreparedLut(arch, coeffs).tables)
-    assert ((np.array(coeffs) @ signs).astype(np.int64) == want).all()
+    signs = _kernel(arch, len(coeffs))[1]
+    want = np.concatenate([f for _, _, f in PreparedLut(arch, coeffs)._full])
+    assert ((signs @ np.array(coeffs)).astype(np.int64) == want).all()
+
+
+@pytest.mark.parametrize("k_hw", [1, 2, 3, 5, 8, 16, 17])
+@pytest.mark.parametrize("arch", ARCHS)
+def test_kernel_signs_are_prepared_full_tables_of_unit_coefficients(arch,
+                                                                    k_hw):
+    """Column i of the kernel's full sign matrix is `PreparedLut`'s full
+    tables, field after field, of the i-th unit coefficient vector over
+    the padded width, at the kernel's group size."""
+    kq, signs, lit = _kernel(arch, k_hw)
+    q = PreparedLut(arch, [1] * k_hw).q
+    assert signs.shape == (lit.shape[1], kq)
+    for i, unit in enumerate(np.eye(kq, dtype=np.int64).tolist()):
+        lut = PreparedLut(arch, unit, q=q)
+        full = [v for _, _, f in lut._full for v in f]
+        assert signs[:, i].tolist() == full, i
 
 
 @pytest.mark.parametrize("scheme", [Scheme.A, Scheme.B])
@@ -474,12 +489,12 @@ def test_serial_counts_are_signed_one_hot_reads(kind, b):
 @pytest.mark.parametrize("kq", [4, 8, 16])
 @pytest.mark.parametrize("kind", ARCHS[:4])
 def test_fold_full_tables_are_the_naive_lut(kind, kq):
-    """`coeffs @ full_signs` (the sign matrix folded by `mirror_read`)
-    holds every field value's signed read; summed over the fields at an
+    """`full_signs @ coeffs` (the full sign matrix of `_kernel`) holds
+    every field value's signed read; summed over the fields at an
     address, they give the naive table's entry."""
     coeffs = _rand((kq,), 8, seed=90 + kq)
     fields = field_layout(kind, *padded_layout(kq))
-    full = coeffs @ _layout_constants(tuple(fields), kq)[1]
+    full = _kernel(kind, kq)[1] @ coeffs
     address = np.arange(1 << kq)
     value, column = 0, 0
     for start, w, _ in fields:

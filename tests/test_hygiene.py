@@ -230,3 +230,43 @@ def test_oracle_check_sees_names_and_attributes():
     assert datapath_in_oracles(src) == {
         "conv_direct": ["gemm_obc", "im2col"], "gemm_oracle": [],
         "ipc_oracle": ["PreparedLut", "piso_schedule", "sa_run"]}
+
+
+LUT_INTERNALS = ("field_entries", "mirror_read", "field_layout",
+                 "padded_layout")
+
+
+def lut_internals_used(source: str) -> list[str]:
+    """The `lut_arch` layout internals that `source` imports or references,
+    as a name or as an attribute.
+
+    How a technique lays out and mirrors its tables is stated once, in
+    `lut_arch`; every other module takes it from `lut_arch.layout`.
+    """
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names.update(a.name for a in node.names)
+        else:
+            names.add(getattr(node, "id", None) or getattr(node, "attr", None))
+    return sorted(names & set(LUT_INTERNALS))
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES
+                                  if p.name != "lut_arch.py"],
+                         ids=lambda p: p.name)
+def test_lut_internals_stay_in_lut_arch(path):
+    assert lut_internals_used(path.read_text()) == []
+
+
+def test_lut_internals_check_sees_imports_names_and_attributes():
+    src = ("from .lut_arch import field_entries as fe, layout\n"
+           "from comet import lut_arch\n"
+           "def f(kind, k):\n"
+           "    lay = layout(kind, k)\n"
+           "    fields = lut_arch.field_layout(kind, *padded_layout(k))\n"
+           "    return fe(fields, True), lay.tables\n"
+           "def g(mirror_read):\n"
+           "    return 'field_entries'\n")
+    assert lut_internals_used(src) == ["field_entries", "field_layout",
+                                       "padded_layout"]

@@ -154,6 +154,15 @@ def test_operands_must_be_integers(bad):
             IpcProblem.from_vectors([1], [1], bad, scheme, fmt, fmt)
 
 
+def test_ipc_oracle_rejects_unequal_lengths():
+    """Zipping cut the longer vector: `ipc_oracle([1, 2], [3])` gave 3."""
+    with pytest.raises(ValueError, match="2 weights but 1 inputs"):
+        ipc_oracle([1, 2], [3])
+    with pytest.raises(ValueError, match="1 weights but 3 inputs"):
+        ipc_oracle([5], [1, 2, 3], 1)
+    assert ipc_oracle([], []) == 0
+
+
 def test_numpy_integers_are_integers():
     w, x = np.array([3, -5], np.int8), np.array([1, -2], np.int64)
     fmt = FxpFormat(4)
@@ -253,5 +262,5 @@ def test_cycle_count_equals_serial_width(bits):
 def test_ipc_obc_rejects_unknown_impl():
     prob = IpcProblem.from_vectors([1], [1], 0, Scheme.A, FxpFormat(4),
                                    FxpFormat(4))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown LUT kind 'bogus'"):
         ipc_obc(prob, lut_impl="bogus")

@@ -68,6 +68,16 @@ def test_write_rejects_overwide_values(tmp_path):
         write_cbt(np.array([2 ** 40]), tmp_path / "x.cbt")
 
 
+def test_write_rejects_non_integers(tmp_path):
+    """A float tensor used to be truncated: [0.5, 1.7] was written as [0, 1]."""
+    for bad in ([0.5, 1.7], [np.nan], [2.0 ** 64]):
+        with pytest.raises(ValueError, match="int64 integers"):
+            write_cbt(np.array(bad), tmp_path / "x.cbt")
+    assert not (tmp_path / "x.cbt").exists()
+    write_cbt(np.array([2.0, -3.0]), tmp_path / "x.cbt")
+    assert read_cbt(tmp_path / "x.cbt").tolist() == [2, -3]
+
+
 def test_magic_mismatch(tmp_path):
     p = tmp_path / "bad.cbt"
     p.write_bytes(b"NOPE" + b"\x00" * 8)
@@ -195,6 +205,37 @@ def test_bundle_save_load_round_trip(tmp_path):
     assert back.digest() == bundle.digest()
     assert (back[0].weight == bundle[0].weight).all()
     assert back[6].shift == bundle[6].shift
+
+
+def _bundle_at_i32_edge(value):
+    bundle = gen_weights(17, build_modified_lenet5(), 8)
+    bundle[0].weight[0, 0, 0, 0] = value
+    return bundle
+
+
+def test_bundle_save_rejects_values_past_i32(tmp_path):
+    """A weight of 2^31 used to be cast to int32 and load as -2^31."""
+    model = build_modified_lenet5()
+    for value in (1 << 31, -(1 << 31) - 1):
+        with pytest.raises(RangeViolation):
+            save_weight_bundle(_bundle_at_i32_edge(value), model,
+                               tmp_path / "w")
+    for value in ((1 << 31) - 1, -(1 << 31)):
+        bundle = _bundle_at_i32_edge(value)
+        save_weight_bundle(bundle, model, tmp_path / "w")
+        back = load_weight_bundle(tmp_path / "w")
+        assert back[0].weight[0, 0, 0, 0] == value
+        assert back.digest() == bundle.digest()
+
+
+def test_digest_rejects_values_past_i32():
+    """2^31 and -2^31 used to give one digest, both hashed as -2^31."""
+    for value in (1 << 31, -(1 << 31) - 1, 1 << 40):
+        with pytest.raises(ValueError, match="32-bit format"):
+            _bundle_at_i32_edge(value).digest()
+    ends = {_bundle_at_i32_edge(v).digest() for v in ((1 << 31) - 1,
+                                                      -(1 << 31))}
+    assert len(ends) == 2
 
 
 def _saved_manifest(tmp_path):
