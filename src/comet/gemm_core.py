@@ -10,8 +10,9 @@ half gives (tiles * values, R) arrays.  The coefficient half holds every
 tile's full field tables (an entry per value of each field, as
 `comet.lut_arch.Layout.tables` derives them); the serial half
 counts the table reads of all bit-slices at once, with one bit mask per
-field value; one exact float64 product of the two sums the reads,
-transposing neither, into accumulators started at the merged offset.
+field value; one exact product of the two (float64 while its sums stay
+within 2^53, int64 past that) sums the reads, transposing neither, into
+accumulators started at the merged offset.
 The weights' half and start are prepared once per weight set.  With
 `record` set, the kernel also returns the per-slice trace that
 :func:`comet.obc_ipc.ipc_obc` gives for one tile, for every tile at once.
@@ -127,6 +128,8 @@ def gemm_oracle(theta: np.ndarray, xcols: np.ndarray,
 
 def gemm_cycles(n: int, m: int, patch_len: int, cfg: GemmConfig) -> int:
     """Closed-form cycle count: M * tiles * B_serial * ceil(N / L)."""
+    if min(n, m, patch_len) < 0:
+        raise ValueError(f"GEMM shape {(n, m, patch_len)} has a negative size")
     tiles = -(-patch_len // cfg.k_hw)
     return m * tiles * cfg.serial_bits * (-(-n // cfg.l))
 
@@ -292,19 +295,17 @@ def _serial_half(cols, k_hw, arch, b) -> _SerialHalf:
 def _product(coef: _CoefHalf, serial: _SerialHalf, start, k_hw=None):
     """Doubled accumulators (P, Q) started at the sum of the `start` arrays.
 
-    One float64 product of the full tables with the read counts sums the
+    One product of the full tables with the read counts sums the
     reads into them, then the start goes in place: with -sum(coef) as the
     start, they are the doubled products 2 * sum(coef[p] * serial[q]).
 
-    The float64 steps are exact.  A full-table entry sums at most 4
-    coefficients: at most 2^(coef.bits+1) < 2^53.  A slice reads one value
-    per field, so a field's counts sum to at most 2^b - 1 in magnitude, and
-    a tile adds at most kq * 2^(coef.bits-1) * (2^b - 1) to the magnitudes
-    bounding every partial sum.  Past 2^53, the counts are cut into limbs
-    of the widest w that stays within it (a limb's magnitudes, the top one
-    signed, sum below 2^w), recombined as int64 << shift; past it even at
-    w = 1, the tiles also go in runs.  That may wrap, but is exact mod 2^64
-    and `gemm_obc` checks that the result fits in int64.
+    The float64 product is exact while the magnitudes bounding every
+    partial sum stay within 2^53: a full-table entry sums at most 4
+    coefficients (below 2^(coef.bits+1)), a slice reads one value per
+    field, so a field's counts sum to at most 2^b - 1 in magnitude, and a
+    tile adds at most kq * 2^(coef.bits-1) * (2^b - 1).  Past that bound
+    the product is taken in int64 instead: it may wrap, but is exact mod
+    2^64, and `check_operands` keeps the doubled result within int64.
 
     Returns (products, trace).  The trace is None unless `k_hw` (the
     unpadded tile width, at most 63) is given; then it holds int64 arrays
@@ -314,25 +315,11 @@ def _product(coef: _CoefHalf, serial: _SerialHalf, start, k_hw=None):
     the tile.
     """
     tiles, n_coef = coef.sums.shape
-    n_serial, b = serial.counts.shape[1], serial.bits
-    kq, values = serial.u.shape[1], serial.masks.shape[1]
-    per_tile = kq << coef.bits - 1
-    # the widest w with tiles * per_tile * (2^w - 1) <= 2^53, at least 1
-    w = max(1, ((1 << 53) // (per_tile * max(tiles, 1)) + 1).bit_length() - 1)
-    run = (1 << 53) // (per_tile * ((1 << w) - 1)) * values  # terms/product
-    y2 = None       # a zero-length patch takes one product of empty arrays
-    for t in range(0, max(tiles * values, 1), run):
-        for shift in range(0, b, w):
-            limb = serial.counts[t:t + run]
-            if shift + w < b:       # a lower limb: w bits, unsigned
-                limb = limb >> shift & (1 << w) - 1
-            elif shift:             # the top limb keeps the sign
-                limb = limb >> shift
-            part = (coef.full[t:t + run].T @ limb.astype(np.float64)
-                    ).astype(np.int64)
-            if shift:
-                part <<= shift
-            y2 = part if y2 is None else np.add(y2, part, out=y2)
+    b, kq, values = serial.bits, serial.u.shape[1], serial.masks.shape[1]
+    if (tiles * kq << coef.bits - 1) * ((1 << b) - 1) <= 1 << 53:
+        y2 = (coef.full.T @ serial.counts.astype(np.float64)).astype(np.int64)
+    else:
+        y2 = coef.full.astype(np.int64).T @ serial.counts.astype(np.int64)
     for s in start:
         y2 += s
     if k_hw is None:

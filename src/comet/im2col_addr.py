@@ -14,11 +14,11 @@ padding sits on the bottom/right edge of the input frame; patch taps
 falling outside it are emitted as pad-zero events instead of addresses.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .fxp import as_int64
+from .fxp import FxpFormat, as_int, as_int64
 
 
 @dataclass(frozen=True)
@@ -36,6 +36,10 @@ class LayerConfigWord:
     w: int       # input width
 
     def __post_init__(self):
+        for f in fields(self):      # frozen: set past the dataclass guard
+            object.__setattr__(self, f.name,
+                               as_int(getattr(self, f.name), f.name))
+        FxpFormat(self.b)
         if self.s not in (1, 2):
             raise ValueError(f"stride must be 1 or 2, got {self.s}")
         if self.p not in (0, 1):

@@ -9,11 +9,19 @@ import math
 from dataclasses import dataclass
 from numbers import Real
 
+from .fxp import as_int
+
 
 def is_number(value) -> bool:
     """True for a finite real number; a bool (JSON `true`) is not one."""
     return (isinstance(value, Real) and not isinstance(value, bool)
             and math.isfinite(value))
+
+
+def _check_numbers(what: str, *values) -> None:
+    """ValueError unless every value `is_number`."""
+    if not all(map(is_number, values)):
+        raise ValueError(f"{what} must be finite numbers, got {values}")
 
 
 @dataclass(frozen=True)
@@ -26,9 +34,7 @@ class ResourceReport:
 
     def __post_init__(self):
         counts = (self.luts, self.ffs, self.dsps, self.brams)
-        if not all(map(is_number, counts)):
-            raise ValueError(f"resource counts must be finite numbers, "
-                             f"got {counts}")
+        _check_numbers("resource counts", *counts)
         if min(counts) < 0:
             raise ValueError("resource counts must be nonnegative")
         if self.power_w is not None and not (is_number(self.power_w)
@@ -42,6 +48,8 @@ def throughput_mac(k: int, l: int, b: int, f_clk: float) -> float:
     Each inner product takes B clock cycles regardless of K, so the
     sample rate is f_clk/B and each sample retires K*L MACs.
     """
+    k, l, b = (as_int(v, name) for v, name in zip((k, l, b), "klb"))
+    _check_numbers("f_clk", f_clk)
     if min(k, l, b) < 1 or f_clk <= 0:
         raise ValueError("k, l, b, f_clk must be positive")
     return (k * l / b) * f_clk
@@ -60,6 +68,7 @@ def ens_rounded(r: ResourceReport) -> int:
 
 def eps(power_w: float, t_mac_gops: float) -> float:
     """Energy per sample in W per GOP/s."""
+    _check_numbers("power and throughput", power_w, t_mac_gops)
     if t_mac_gops <= 0:
         raise ValueError("throughput must be positive")
     return power_w / t_mac_gops
@@ -67,6 +76,7 @@ def eps(power_w: float, t_mac_gops: float) -> float:
 
 def aep(t_mac_ops: float, f_clk: float, ens_slices: float) -> float:
     """Architectural efficiency per ENS, in ops/cycle/kENS."""
+    _check_numbers("throughput, f_clk and ENS", t_mac_ops, f_clk, ens_slices)
     if f_clk <= 0 or ens_slices <= 0:
         raise ValueError("f_clk and ENS must be positive")
     return t_mac_ops / (f_clk * ens_slices / 1000)

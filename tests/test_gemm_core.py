@@ -307,6 +307,13 @@ def test_gemm_reports_closed_form_cycles():
     assert cycles == gemm_cycles(3, 7, 10, cfg) == 7 * 3 * 8 * 2
 
 
+@pytest.mark.parametrize("shape", [(-1, 5, 3), (2, -1, 3), (2, 5, -1)])
+def test_cycle_formula_rejects_negative_sizes(shape):
+    """A negative N read as zero cycles."""
+    with pytest.raises(ValueError, match="negative"):
+        gemm_cycles(*shape, GemmConfig())
+
+
 # -- engine equivalence ---------------------------------------------------
 
 @pytest.mark.parametrize("scheme", [Scheme.A, Scheme.B])
@@ -416,13 +423,14 @@ def test_gemm_at_every_serial_width(scheme, arch):
 
 @pytest.mark.parametrize("scheme", [Scheme.A, Scheme.B])
 @pytest.mark.parametrize("arch", ARCHS)
-def test_gemm_at_the_limb_boundary(scheme, arch):
+def test_gemm_either_side_of_the_float64_bound(scheme, arch):
     """A float64 product of the read counts is exact while its sum of
     magnitudes, at most tiles * kq * 2^(coefficient bits - 1) * (2^b - 1)
-    for b-bit serial operands, stays within 2^53: 256 full tiles take one
-    limb, 257 take two.  Every operand is at an extreme of its format,
-    each serial one with a coefficient of its sign, three positive to one
-    negative, so the magnitudes reach that bound and the sum is odd."""
+    for b-bit serial operands, stays within 2^53: 256 full tiles take the
+    float64 product, 257 the int64 one.  Every operand is at an extreme of
+    its format, each serial one with a coefficient of its sign, three
+    positive to one negative, so the magnitudes reach that bound and the
+    sum is odd."""
     b, bc, k_hw = 20, 24, 4
     def bound(tiles):
         return (tiles * k_hw << bc - 1) * ((1 << b) - 1)
@@ -443,10 +451,10 @@ def test_gemm_at_the_limb_boundary(scheme, arch):
 
 
 @pytest.mark.parametrize("kind", ARCHS[:4])
-def test_kernel_takes_long_contractions_a_run_at_a_time(kind):
-    """Past 2^53 even with one-bit limbs (46-bit coefficients, wider than
-    gemm_obc admits, over 257 tiles), the kernel sums the tiles in runs
-    that each stay within 2^53, and the doubled products stay exact."""
+def test_product_in_int64_at_46_bit_coefficients(kind):
+    """Past 2^53 even at 2-bit serial operands (46-bit coefficients, wider
+    than gemm_obc admits, over 257 tiles), the kernel takes the int64
+    product, and the doubled products stay exact."""
     tiles, b, bits = 257, 2, 46
     high = np.tile([True, True, True, False], tiles)
     coef = np.where(high, (1 << bits - 1) - 1, -(1 << bits - 1))
@@ -457,6 +465,30 @@ def test_kernel_takes_long_contractions_a_run_at_a_time(kind):
     y2, _ = _product(coef_half, serial_half,
                      (-coef_half.sums.sum(axis=0)[:, None],))
     assert y2.tolist() == [[2 * sum(map(int, coef * serial))]]
+
+
+@pytest.mark.parametrize("kind", ARCHS)
+def test_product_wraps_mod_2_64_to_an_exact_int64(kind):
+    """48-bit coefficients alternate in sign from tile to tile, and each
+    pair of tiles reads the same 16-bit serial operands: the terms of the
+    int64 product sum past 2^64 in magnitude, so it wraps, but the doubled
+    products fit int64, so mod 2^64 they are exact."""
+    k_hw, bits, b = 4, 48, 16
+    coef = np.repeat(np.tile([(1 << bits - 1) - 1, -(1 << bits - 1)], 8),
+                     k_hw)
+    serial = np.repeat(_rand((8, 1, k_hw, 3), b, seed=240), 2, axis=1
+                       ).reshape(-1, 3)
+    coef_half = _coef_half(coef[:, None], k_hw, kind, bits)
+    serial_half = _serial_half(serial, k_hw, kind, b)
+    full = coef_half.full[:, 0].astype(np.int64).tolist()
+    for counts in serial_half.counts.T.tolist():
+        assert sum(abs(f * c) for f, c in zip(full, counts)) > 1 << 64
+    y2, _ = _product(coef_half, serial_half,
+                     (-coef_half.sums.sum(axis=0)[:, None],))
+    want = [2 * sum(c * v for c, v in zip(coef.tolist(), s))
+            for s in serial.T.tolist()]
+    assert max(map(abs, want)) < 1 << 63
+    assert y2.tolist() == [want]
 
 
 @pytest.mark.parametrize("b", [2, 8, 9, 16, 17, 32])

@@ -193,3 +193,24 @@ def test_layer_config_validation():
     assert cfg.h_out == 10 and cfg.w_out == 10
     assert cfg.patch_len == 150
     assert cfg.tiles(16) == 10
+
+
+LAYER = dict(c=1, kh=3, kw=3, s=1, p=0, n=1, b=8, h=8, w=8)
+
+
+@pytest.mark.parametrize("field, value, match", [
+    ("c", 2.5, "is not an integer"), ("h", 8.0, "is not an integer"),
+    ("s", "1", "is not an integer"), ("b", None, "is not an integer"),
+    ("b", 0, "bit-width"), ("b", 1, "bit-width"), ("b", 33, "bit-width")])
+def test_layer_config_rejects_non_integers_and_bad_widths(field, value,
+                                                          match):
+    """A fractional channel count was kept as is, and b = 0 only failed
+    later, with "negative shift count" from gen_input."""
+    with pytest.raises(ValueError, match=match):
+        LayerConfigWord(**{**LAYER, field: value})
+
+
+def test_layer_config_takes_numpy_integers_as_ints():
+    cfg = LayerConfigWord(**{k: np.int64(v) for k, v in LAYER.items()})
+    assert cfg == LayerConfigWord(**LAYER)
+    assert all(type(v) is int for v in vars(cfg).values())

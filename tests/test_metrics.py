@@ -86,6 +86,24 @@ def test_resource_report_rejects_non_numbers(luts):
         ResourceReport(luts=luts)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("fn, args", [
+    (throughput_mac, (16, 1, 8, NAN)), (throughput_mac, (16, 1, 8, INF)),
+    (throughput_mac, (16, 1, 8, "1e8")), (throughput_mac, (16, 1, 8, True)),
+    (throughput_mac, (2.5, 1, 8, 1e8)), (throughput_mac, (16, 1.0, 8, 1e8)),
+    (throughput_mac, (16, 1, None, 1e8)),
+    (eps, (0.8, INF)), (eps, (NAN, 0.2)), (eps, ("0.8", 0.2)),
+    (aep, (1e9, 1e8, NAN)), (aep, (INF, 1e8, 4102)), (aep, (1e9, None, 4102)),
+], ids=lambda v: getattr(v, "__name__", repr(v)))
+def test_metrics_reject_non_numbers(fn, args):
+    """Each of these used to return a value: nan, 0.0, or a throughput of
+    K = 2.5 (throughput_mac(2.5, 1, 8, 1e8) gave 31250000.0)."""
+    with pytest.raises(ValueError, match="integer|finite numbers"):
+        fn(*args)
+
+
 def test_validation():
     with pytest.raises(ValueError):
         ResourceReport(luts=-1)
