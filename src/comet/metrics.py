@@ -48,7 +48,7 @@ def throughput_mac(k: int, l: int, b: int, f_clk: float) -> float:
     Each inner product takes B clock cycles regardless of K, so the
     sample rate is f_clk/B and each sample retires K*L MACs.
     """
-    k, l, b = (as_int(v, name) for v, name in zip((k, l, b), "klb"))
+    k, l, b = as_int(k, "k"), as_int(l, "l"), as_int(b, "b")
     _check_numbers("f_clk", f_clk)
     if min(k, l, b) < 1 or f_clk <= 0:
         raise ValueError("k, l, b, f_clk must be positive")
