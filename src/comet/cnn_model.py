@@ -184,8 +184,7 @@ def _walk(model: ModelSpec, weights, x: np.ndarray, matmul) -> list:
         else:
             lw = weights[i]
             y = matmul(lay, act, lw.weight, lw.bias)
-            shift = getattr(lw, "shift", lay.shift)
-            act = _apply_act(requantize(y, shift, model.b1), lay.act)
+            act = _apply_act(requantize(y, lw.shift, model.b1), lay.act)
         outputs.append(act)
     return outputs
 
@@ -194,8 +193,8 @@ def infer(model: ModelSpec, weights, x: np.ndarray, gemm_cfg: GemmConfig,
           record: bool = False) -> InferResult:
     """Run the model through the OBC GEMM datapath.
 
-    `weights` maps layer index to an object with `.weight`, `.bias`, and
-    optional `.shift` attributes (see tensor_io.WeightBundle).
+    `weights` maps layer index to an object with `.weight`, `.bias` and
+    `.shift` attributes (see tensor_io.WeightBundle).
     """
     cfg = replace(gemm_cfg, b1=model.b1, b2=model.b2)
     cycles, traces = [], []

@@ -59,11 +59,12 @@ def as_int64(a, what: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FxpFormat:
-    """A signed fixed-point word of `bits` width (2..32)."""
+    """A signed fixed-point word of `bits` width (2..32, through `as_int`)."""
 
     bits: int
 
     def __post_init__(self):
+        object.__setattr__(self, "bits", as_int(self.bits, "bit-width"))
         if not 2 <= self.bits <= 32:
             raise ValueError(f"bit-width must be in [2, 32], got {self.bits}")
 

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fxp import FxpFormat, as_int64
+from .fxp import FxpFormat, as_int, as_int64
 from .im2col_addr import LayerConfigWord
 from .lut_arch import HYBRID, layout
 from .obc_ipc import Scheme, merged_offset
@@ -34,7 +34,9 @@ from .obc_ipc import IpcProblem, ipc_obc  # noqa: F401
 
 @dataclass(frozen=True)
 class GemmConfig:
-    """Engine shape: lane IPC length, lane count, scheme, LUT technique."""
+    """Engine shape: lane IPC length, lane count, scheme, LUT technique and
+    widths; k_hw and l go through `as_int`, b1 and b2 through `FxpFormat`
+    and the scheme through `Scheme`, so "A" is Scheme A."""
 
     k_hw: int = 16
     l: int = 10
@@ -44,6 +46,11 @@ class GemmConfig:
     b2: int = 8
 
     def __post_init__(self):
+        checked = {"k_hw": as_int(self.k_hw, "k_hw"), "l": as_int(self.l, "l"),
+                   "b1": FxpFormat(self.b1).bits, "b2": FxpFormat(self.b2).bits,
+                   "scheme": Scheme(self.scheme)}
+        for name, value in checked.items():     # frozen: past the guard
+            object.__setattr__(self, name, value)
         if self.k_hw < 1 or self.l < 1:
             raise ValueError("k_hw and l must be positive")
         layout(self.arch, self.k_hw)    # rejects an unknown technique

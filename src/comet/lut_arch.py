@@ -8,11 +8,12 @@ address, the same value a naive 2**K offset-binary table would hold:
 with b_1 the most-significant address bit.  What differs is what each
 technique stores: `field_layout` cuts the address into fields, each with
 a stored sub-table that may keep only its mirror half; `layout` caches
-those facts per (kind, K, q), and `Layout.tables` derives every table
-from coefficients, for `PreparedLut` and (over unit coefficients) the
-vectorized GEMM engine.  The trace names the nodes each read touches, so
-structural claims (node sharing, half sums, pair nodes) are testable.  A
-closed-form cost model reports adder/mux counts and critical-path delay.
+those facts per (kind, K, q), and `Layout.tables` builds every field's
+full table from coefficients and slices the stored one from it, for
+`PreparedLut` and (over unit coefficients) the vectorized GEMM engine.
+The trace names the nodes each read touches, so structural claims (node
+sharing, half sums, pair nodes) are testable.  A closed-form cost model
+reports adder/mux counts and critical-path delay.
 
 Coefficient vectors whose length is not a multiple of the group size are
 zero-padded at the tail; a zero coefficient with a zero address bit
@@ -22,7 +23,6 @@ contributes 0*(2*0-1) = 0, leaving every value unchanged.
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import itemgetter
 from typing import NamedTuple
 
 PARALLEL = "parallel"
@@ -114,16 +114,17 @@ def field_layout(kind: str, padded: int, q: int) -> list[tuple[int, int, bool]]:
     return [(s, 2, True) for s in range(0, padded, 2)]
 
 
-def field_entries(coeffs, mirrored: bool) -> list:
-    """Stored entries of one field, indexed by field value (MSB first).
+def field_entries(coeffs) -> list:
+    """Full table of one field, indexed by field value (MSB first).
 
     Entry f is -sum(coeffs) plus twice the coefficients whose bit is set
-    in f; a mirrored field stops at the half whose MSB is 0.  Works on
-    anything that adds and negates elementwise, so numpy columns give a
-    whole batch of tables at once.
+    in f, so the entry at the complemented value is -entry f: a mirrored
+    field stores the half whose MSB is 0.  Works on anything that adds
+    and negates elementwise, so numpy columns give a whole batch of
+    tables at once.
     """
     entries = [-sum(coeffs)]
-    for c in reversed(coeffs[1 if mirrored else 0:]):
+    for c in reversed(coeffs):
         d = 2 * c
         entries += [e + d for e in entries]
     return entries
@@ -146,47 +147,34 @@ class Layout(NamedTuple):
     q: int          # group size
     fields: tuple   # `field_layout`: per field (start, width, mirrored)
     reads: tuple    # per field (shift to its LSB, value mask)
-    mirror: tuple   # per field: `itemgetter` giving the full table
 
     def tables(self, coeffs) -> tuple[list, list]:
         """Stored and full tables of coefficients padded to `padded`: per
-        field, its `field_entries`, and (shift, mask, full table), the full
-        table read through `mirror`, one entry per field value.  Works on
-        numpy vectors as on ints, as `field_entries` does."""
-        stored = [field_entries(coeffs[s:s + w], m) for s, w, m in self.fields]
-        return stored, [(shift, mask, full(t + [-e for e in t] if m else t))
-                        for (_, _, m), (shift, mask), full, t
-                        in zip(self.fields, self.reads, self.mirror, stored)]
+        field, the stored table, and (shift, mask, full table), the full
+        table being its `field_entries` and the stored one its first half
+        when the field is mirrored, else all of it.  Works on numpy
+        vectors as on ints, as `field_entries` does."""
+        full = [field_entries(coeffs[s:s + w]) for s, w, _ in self.fields]
+        return ([t[:1 << (w - m)] for (_, w, m), t in zip(self.fields, full)],
+                [(*r, t) for r, t in zip(self.reads, full)])
 
 
 @lru_cache(maxsize=256)
 def layout(kind: str, k: int, q: int | None = None) -> Layout:
-    """`padded_layout` and `field_layout` of a k-long coefficient vector, with
-    each field's shift and mask and its mirror map.
-
-    The mirror map of a field takes its stored table followed by that
-    table negated and returns the full table, one entry per field value:
-    value f reads where `mirror_read` sends it.
-    """
+    """`padded_layout` and `field_layout` of a k-long coefficient vector,
+    with each field's shift to its LSB and value mask."""
     padded, q = padded_layout(k, q)
     fields = tuple(field_layout(kind, padded, q))
-    reads, mirror = [], []
-    for s, w, m in fields:
-        reads.append((padded - s - w, (1 << w) - 1))
-        stored = 1 << (w - m)
-        # a negated read lands in the copy after the stored entries
-        mirror.append(itemgetter(*(
-            i + (sign < 0) * stored
-            for i, sign in (mirror_read(f, w, m) for f in range(1 << w)))))
-    return Layout(padded, q, fields, tuple(reads), tuple(mirror))
+    return Layout(padded, q, fields, tuple((padded - s - w, (1 << w) - 1)
+                                           for s, w, _ in fields))
 
 
 class PreparedLut:
     """A LUT technique bound to one coefficient vector, evaluable per address.
 
-    Builds every stored field table once, and from it the field's full
-    table (one entry per field value); a lookup reads one full-table entry
-    per field and sums them.
+    Builds every field's full table (one entry per field value) once and
+    keeps its stored slice for the trace; a lookup reads one full-table
+    entry per field and sums them.
     """
 
     def __init__(self, kind: str, coeffs: list[int], q: int | None = None):

@@ -68,17 +68,20 @@ def ens_rounded(r: ResourceReport) -> int:
 
 def eps(power_w: float, t_mac_gops: float) -> float:
     """Energy per sample in W per GOP/s."""
-    _check_numbers("power and throughput", power_w, t_mac_gops)
-    if t_mac_gops <= 0:
-        raise ValueError("throughput must be positive")
+    values = (power_w, t_mac_gops)
+    if not (all(map(is_number, values)) and power_w >= 0 and t_mac_gops > 0):
+        raise ValueError("power and throughput must be finite numbers, "
+                         f"power >= 0 and throughput > 0, got {values}")
     return power_w / t_mac_gops
 
 
 def aep(t_mac_ops: float, f_clk: float, ens_slices: float) -> float:
     """Architectural efficiency per ENS, in ops/cycle/kENS."""
-    _check_numbers("throughput, f_clk and ENS", t_mac_ops, f_clk, ens_slices)
-    if f_clk <= 0 or ens_slices <= 0:
-        raise ValueError("f_clk and ENS must be positive")
+    values = (t_mac_ops, f_clk, ens_slices)
+    if not (all(map(is_number, values))
+            and t_mac_ops >= 0 and f_clk > 0 and ens_slices > 0):
+        raise ValueError("throughput, f_clk and ENS must be finite numbers, "
+                         f"throughput >= 0 and the others > 0, got {values}")
     return t_mac_ops / (f_clk * ens_slices / 1000)
 
 

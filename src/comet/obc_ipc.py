@@ -111,18 +111,18 @@ def _spread(k: int) -> tuple[int, ...]:
                  for v in range(256))
 
 
+# per width; `typed`, so 8.0 never hits the entry of an equal np.int64(8)
+_format = lru_cache(maxsize=64, typed=True)(FxpFormat)
+
+
 def piso_schedule(operands, b: int) -> list[int]:
     """Transpose operand words into per-slice LUT addresses, LSB slice first.
 
     Address bit order puts operand 0 at the most significant position.
-    Operands are integers (`fxp.as_ints`) that fit b bits; ValueError
-    otherwise.
+    Operands are integers that fit b bits (`FxpFormat(b).check_ints`);
+    ValueError otherwise.
     """
-    ops = as_ints(operands, "operand")
-    lo, hi = -(1 << (b - 1)), (1 << (b - 1)) - 1
-    if ops and (min(ops) < lo or max(ops) > hi):
-        v = next(v for v in ops if not lo <= v <= hi)
-        raise ValueError(f"operand {v} does not fit {b} bits")
+    ops = _format(b).check_ints(operands, "operand")
     # slice r of the operands sits in bits r*k .. r*k + k - 1 of `word`
     k = len(ops)
     spread, word = _spread(k), 0

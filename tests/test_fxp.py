@@ -27,10 +27,19 @@ def test_format_range():
     assert not fmt.contains(128) and not fmt.contains(-129)
 
 
-@pytest.mark.parametrize("bits", [0, 1, 33, -4])
+@pytest.mark.parametrize("bits", [0, 1, 33, -4, 8.5, "8", None])
 def test_format_rejects_bad_width(bits):
     with pytest.raises(ValueError):
         FxpFormat(bits)
+
+
+def test_format_takes_bits_through_as_int():
+    """A numpy width becomes an int; FxpFormat(8.5).max_value raised
+    TypeError."""
+    fmt = FxpFormat(np.int64(8))
+    assert fmt == FxpFormat(8) and type(fmt.bits) is int
+    with pytest.raises(ValueError, match="bit-width 8.5 is not an integer"):
+        FxpFormat(8.5)
 
 
 def test_bit_slice_examples():
@@ -55,6 +64,12 @@ def test_bit_slice_rejects_out_of_range():
         piso_schedule([8], 4)
     with pytest.raises(ValueError):
         piso_schedule([-9], 4)
+    with pytest.raises(ValueError, match="operand 300 outside 8-bit range"):
+        piso_schedule([1, 300, -2], 8)
+    assert piso_schedule([1], np.int64(8)) == [1] + [0] * 7
+    for b in (1, 33, 8.0):      # 8.0 equals the np.int64(8) just used
+        with pytest.raises(ValueError, match="bit-width"):
+            piso_schedule([0], b)
 
 
 @pytest.mark.parametrize("bits", range(2, 11))

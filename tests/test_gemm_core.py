@@ -314,6 +314,30 @@ def test_cycle_formula_rejects_negative_sizes(shape):
         gemm_cycles(*shape, GemmConfig())
 
 
+@pytest.mark.parametrize("field, value", [
+    ("k_hw", 2.5), ("k_hw", "16"), ("l", 1.5), ("l", None), ("b1", 0),
+    ("b1", 8.5), ("b1", 1), ("b2", 40), ("b2", "8"), ("scheme", "C"),
+    ("scheme", None),
+])
+def test_gemm_config_rejects_bad_fields(field, value):
+    """Each was accepted (l=1.5 gave 16.0 cycles; b1=0 and b2=40 passed)
+    or raised TypeError (k_hw=2.5, b1=8.5)."""
+    with pytest.raises(ValueError):
+        GemmConfig(**{field: value})
+
+
+def test_gemm_config_takes_fields_by_their_rules():
+    """"A" is Scheme A (it ran as Scheme B: 8 cycles instead of 16), and
+    numpy integers become ints."""
+    cfg = GemmConfig(k_hw=np.int64(8), l=np.int32(2), scheme="A",
+                     b1=np.int64(8), b2=4)
+    assert cfg == GemmConfig(k_hw=8, l=2, scheme=Scheme.A, b1=8, b2=4)
+    assert all(type(v) is int for v in (cfg.k_hw, cfg.l, cfg.b1, cfg.b2))
+    _, cycles, _ = gemm_obc(np.ones((1, 16)), np.ones((16, 1)), [0], cfg)
+    assert cycles == 2 * 8
+    assert GemmConfig(scheme="B", b1=8, b2=4).serial_bits == 4
+
+
 # -- engine equivalence ---------------------------------------------------
 
 @pytest.mark.parametrize("scheme", [Scheme.A, Scheme.B])

@@ -69,6 +69,32 @@ def test_full_tables_are_stored_tables_read_through_mirror(kind, k):
             assert list(full) == want, (q, shift)
 
 
+def _stored_entries(kind, p, q):
+    """Entries a technique stores at K = p*q, counted from its shape."""
+    if kind == PARALLEL:
+        return p << q
+    if kind == SHARED:              # the 1-bit head, then the mirror half
+        return p * (2 + (1 << q - 2 if q > 1 else 0))
+    if kind == SPLIT:               # two mirrored halves of q/2 bits
+        return p << q // 2
+    return p * q                    # hybrid: a {sum, diff} pair per 2 bits
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("k", [1, 3, 4, 8, 12])
+def test_stored_tables_are_first_halves_of_full_tables(kind, k):
+    """A field stores 2^(w - m) entries, the first ones of its full table:
+    half of it when mirrored, and so many in all as the technique's shape
+    gives."""
+    for q in [None] + _admitted_qs(kind, k):
+        lut = PreparedLut(kind, _coeffs(k, salt=7), q=q)
+        for (*_, full), (*_, w, m, table) in zip(lut._full, lut._reads):
+            assert len(table) == 1 << (w - m)
+            assert list(table) == list(full[:len(table)]), (q, w)
+        assert sum(map(len, lut.tables)) == \
+            _stored_entries(kind, lut.p, lut.q), q
+
+
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("k", [3, 5, 7])
 def test_zero_padding_preserves_values(kind, k):
