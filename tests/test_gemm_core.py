@@ -327,8 +327,8 @@ def test_gemm_config_rejects_bad_fields(field, value):
 
 
 def test_gemm_config_takes_fields_by_their_rules():
-    """"A" is Scheme A (it ran as Scheme B: 8 cycles instead of 16), and
-    numpy integers become ints."""
+    """The scheme "A" is Scheme A (it ran as Scheme B: 8 cycles instead of
+    16), and numpy integers become ints."""
     cfg = GemmConfig(k_hw=np.int64(8), l=np.int32(2), scheme="A",
                      b1=np.int64(8), b2=4)
     assert cfg == GemmConfig(k_hw=8, l=2, scheme=Scheme.A, b1=8, b2=4)
