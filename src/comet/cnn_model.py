@@ -14,9 +14,9 @@ and oracle paths trivially identical.
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .fxp import FxpFormat, as_int64
 from .gemm_core import GemmConfig, check_operands, gemm_cycles, gemm_obc, \
@@ -111,25 +111,36 @@ def build_modified_lenet5(b1: int = 8, b2: int = 8) -> ModelSpec:
     return ModelSpec(layers, b1, b2)
 
 
-def requantize(acc: np.ndarray, shift: int, b1: int) -> np.ndarray:
-    """Right-shift with round-half-away-from-zero, then saturate to B1.
+def requantize(acc: np.ndarray, shift: int, b1: int,
+               act: str | None = None) -> np.ndarray:
+    """Right-shift with round-half-away-from-zero, saturate to B1, then
+    apply `act` ("relu" or None; others raise ValueError).
 
-    Exact for every shift in 0..63 (others raise ValueError): the rounding
-    half joins after all but one of the dropped bits are gone, and the
-    magnitude is unsigned, so nothing overflows."""
+    Rounding is monotone, so the saturation and the ReLU go first, as one
+    clip to the bounds scaled by 2^shift; then the rounding half (less one
+    below zero) is added and the shift is arithmetic, in place.  Where B1 +
+    shift >= 62 the scaled bounds could leave int64, and the magnitude is
+    rounded unsigned before the clip.  Exact for every shift in 0..63
+    (others raise ValueError); the input is never written."""
     if not 0 <= shift <= 63:
         raise ValueError(f"requantize shift {shift} outside 0..63")
+    if act not in (None, "relu"):
+        raise ValueError(f"unknown activation {act!r}")
     acc = as_int64(acc, "accumulators")
-    if shift > 0:
-        mag = ((np.abs(acc).astype(np.uint64) >> (shift - 1)) + 1) >> 1
-        acc = np.sign(acc) * mag.astype(np.int64)
     fmt = FxpFormat(b1)
-    return np.minimum(np.maximum(acc, fmt.min_value), fmt.max_value)
-
-
-def _apply_act(y: np.ndarray, act: str | None) -> np.ndarray:
-    if act == "relu":
-        return np.maximum(y, 0)
+    lo, hi = (0 if act else fmt.min_value), fmt.max_value
+    if b1 + shift >= 62:
+        if shift > 0:
+            mag = ((np.abs(acc).astype(np.uint64) >> (shift - 1)) + 1) >> 1
+            acc = np.sign(acc) * mag.astype(np.int64)
+        return np.minimum(np.maximum(acc, lo), hi)
+    y = np.maximum(acc, lo << shift)
+    y = np.minimum(y, hi << shift, out=y if y.ndim else None)
+    if shift > 0:
+        if lo < 0:
+            y -= y < 0
+        y += 1 << (shift - 1)
+        y >>= shift
     return y
 
 
@@ -184,7 +195,7 @@ def _walk(model: ModelSpec, weights, x: np.ndarray, matmul) -> list:
         else:
             lw = weights[i]
             y = matmul(lay, act, lw.weight, lw.bias)
-            act = _apply_act(requantize(y, lw.shift, model.b1), lay.act)
+            act = requantize(y, lw.shift, model.b1, lay.act)
         outputs.append(act)
     return outputs
 
@@ -196,7 +207,7 @@ def infer(model: ModelSpec, weights, x: np.ndarray, gemm_cfg: GemmConfig,
     `weights` maps layer index to an object with `.weight`, `.bias` and
     `.shift` attributes (see tensor_io.WeightBundle).
     """
-    cfg = replace(gemm_cfg, b1=model.b1, b2=model.b2)
+    cfg = _with_widths(gemm_cfg, model.b1, model.b2)
     cycles, traces = [], []
 
     def matmul(lay, act, w, b):
@@ -254,9 +265,11 @@ def conv_direct(x: np.ndarray, w: np.ndarray, bias: np.ndarray,
                          f"and biases {(cfg.n,)}")
     padded = np.zeros((cfg.c, cfg.h + cfg.p, cfg.w + cfg.p), np.int64)
     padded[:, :cfg.h, :cfg.w] = x
-    windows = sliding_window_view(padded, (cfg.kh, cfg.kw), axis=(1, 2))
-    cols = windows[:, ::cfg.s, ::cfg.s].transpose(0, 3, 4, 1, 2)
-    w, cols = w.reshape(cfg.n, -1), cols.reshape(cfg.patch_len, -1)
+    sc, sh, sw = padded.strides          # (C, kh, kw, H_out, W_out) windows
+    windows = np.ndarray((cfg.c, cfg.kh, cfg.kw, cfg.h_out, cfg.w_out),
+                         np.int64, padded, 0,
+                         (sc, sh, sw, sh * cfg.s, sw * cfg.s))
+    w, cols = w.reshape(cfg.n, -1), windows.reshape(cfg.patch_len, -1)
     if (cfg.patch_len * _magnitude(x) * _magnitude(w)
             + _magnitude(bias) >= 1 << 63):
         w, cols, bias = (a.astype(object) for a in (w, cols, bias))
@@ -265,9 +278,16 @@ def conv_direct(x: np.ndarray, w: np.ndarray, bias: np.ndarray,
     return y.reshape(cfg.n, cfg.h_out, cfg.w_out)
 
 
+@lru_cache(maxsize=64)
+def _with_widths(cfg: GemmConfig, b1: int, b2: int) -> GemmConfig:
+    """`cfg` at a model's widths; `replace` re-checks every field, so it
+    runs once per (config, widths)."""
+    return replace(cfg, b1=b1, b2=b2)
+
+
 def model_cycles(model: ModelSpec, gemm_cfg: GemmConfig) -> int:
     """Closed-form cycle total over the GEMM-lowered layers."""
-    cfg = replace(gemm_cfg, b1=model.b1, b2=model.b2)
+    cfg = _with_widths(gemm_cfg, model.b1, model.b2)
     return sum(gemm_cycles(lay.out_shape[0], math.prod(lay.out_shape[1:]),
                            lay.patch_len, cfg)
                for lay in model.layers if lay.kind != "gap")

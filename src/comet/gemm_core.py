@@ -190,7 +190,7 @@ def gemm_obc(theta: np.ndarray, xcols: np.ndarray, bias: np.ndarray,
         y2 = y2.T
         if record:
             trace = {k: v.transpose(1, 0, 2, 3) for k, v in trace.items()}
-    assert not np.any(y2 & 1), "doubled-domain result must be even"
+    assert not (y2 & 1).any(), "doubled-domain result must be even"
     if record:                  # a zero-length patch has no last tile
         trace["accumulator"][:, :, -1:] += 2 * bias[:, None, None, None]
     cycles = gemm_cycles(len(theta), xcols.shape[1], theta.shape[1], cfg)
@@ -292,9 +292,7 @@ def _serial_half(cols, k_hw, arch, b) -> _SerialHalf:
     lits = np.empty((tiles, 2 * kq, n_serial), u.dtype)   # [~u, u]
     lits[:, kq:] = u
     np.invert(lits[:, kq:], out=lits[:, :kq])
-    masks = np.take(lits, lit[0], axis=1)
-    for c in lit[1:]:
-        masks &= np.take(lits, c, axis=1)
+    masks = np.bitwise_and.reduce(np.take(lits, lit, axis=1), axis=1)
     counts = masks.view(f"<i{size}").reshape(tiles * lit.shape[1], n_serial)
     return _SerialHalf(lits[:, kq:], masks, counts, b)
 

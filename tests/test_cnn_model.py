@@ -106,6 +106,56 @@ def test_requantize_rejects_shift_outside_0_63(shift):
         requantize(np.array([5]), shift, 8)
 
 
+def _requantized(v: int, shift: int, b1: int, act) -> int:
+    """Round half away from zero, saturate to B1, then `act`, on Python
+    integers."""
+    r = (abs(v) + (1 << shift >> 1)) >> shift
+    r = min(max(r if v >= 0 else -r, -(1 << (b1 - 1))), (1 << (b1 - 1)) - 1)
+    return max(r, 0) if act == "relu" else r
+
+
+@pytest.mark.parametrize("act", [None, "relu"])
+@pytest.mark.parametrize("b1", [2, 8, 16, 31, 32])
+def test_requantize_equals_python_integers(b1, act):
+    """Every shift 0..63, so both sides of B1 + shift = 62, where the clip
+    to the scaled bounds gives way to the unsigned magnitude; values are
+    the int64 extremes, and both sides of each scaled bound and of its
+    rounding edges."""
+    i64 = range(-(1 << 63), 1 << 63)
+    for shift in range(64):
+        half = 1 << shift >> 1
+        edges = {-(1 << 63), (1 << 63) - 1, 0}
+        for bound in (-(1 << (b1 - 1)), 0, (1 << (b1 - 1)) - 1):
+            for edge in (bound << shift, (bound << shift) + half,
+                         (bound << shift) - half):
+                edges.update(edge + d for d in (-2, -1, 0, 1, 2))
+        vals = sorted(v for v in edges if v in i64)
+        got = requantize(np.array(vals), shift, b1, act).tolist()
+        assert got == [_requantized(v, shift, b1, act) for v in vals], \
+            (shift, b1, act)
+
+
+@pytest.mark.parametrize("shift", [0, 5, 40])
+def test_requantize_leaves_its_input_unchanged(shift):
+    """Read-only and non-contiguous accumulators are read, never written."""
+    acc = np.arange(-300, 300, dtype=np.int64).reshape(20, 30) << shift
+    want = [[_requantized(v, shift, 8, "relu") for v in row]
+            for row in acc.T[::3].tolist()]
+    frozen = acc.copy()
+    frozen.flags.writeable = False
+    for a in (acc.T[::3], frozen.T[::3]):
+        assert requantize(a, shift, 8, "relu").tolist() == want
+    assert (acc == frozen).all()
+    assert requantize(np.int64(-7 << shift), shift, 8) == -7
+
+
+@pytest.mark.parametrize("act", ["tanh", "ReLU", ""])
+def test_requantize_rejects_unknown_activations(act):
+    """Any activation name but "relu" used to pass the values through."""
+    with pytest.raises(ValueError, match="activation"):
+        requantize(np.array([5]), 0, 8, act)
+
+
 def test_gap_rounded_mean():
     x = np.ones((2, 5, 5), dtype=np.int64)
     x[1] *= -3

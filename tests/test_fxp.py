@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from comet.fxp import FxpFormat
+from comet.fxp import FxpFormat, as_int
 from comet.obc_ipc import build_naive_lut, piso_schedule, sa_run
 
 
@@ -27,7 +27,7 @@ def test_format_range():
     assert not fmt.contains(128) and not fmt.contains(-129)
 
 
-@pytest.mark.parametrize("bits", [0, 1, 33, -4, 8.5, "8", None])
+@pytest.mark.parametrize("bits", [0, 1, 33, -4, 8.5, "8", None, True])
 def test_format_rejects_bad_width(bits):
     with pytest.raises(ValueError):
         FxpFormat(bits)
@@ -40,6 +40,17 @@ def test_format_takes_bits_through_as_int():
     assert fmt == FxpFormat(8) and type(fmt.bits) is int
     with pytest.raises(ValueError, match="bit-width 8.5 is not an integer"):
         FxpFormat(8.5)
+
+
+def test_as_int_takes_integers_and_rejects_bools():
+    """A bool passed `operator.index` as 0 or 1, while `metrics.is_number`
+    rejects it: throughput_mac(True, 1, 8, 1e8) gave 12500000.0."""
+    for value in (7, np.int32(-3), np.uint8(200)):
+        got = as_int(value, "v")
+        assert got == value and type(got) is int
+    for value in (True, False, np.True_, 0.5, "3", None):
+        with pytest.raises(ValueError, match="is not an integer"):
+            as_int(value, "v")
 
 
 def test_bit_slice_examples():

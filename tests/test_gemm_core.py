@@ -317,7 +317,7 @@ def test_cycle_formula_rejects_negative_sizes(shape):
 @pytest.mark.parametrize("field, value", [
     ("k_hw", 2.5), ("k_hw", "16"), ("l", 1.5), ("l", None), ("b1", 0),
     ("b1", 8.5), ("b1", 1), ("b2", 40), ("b2", "8"), ("scheme", "C"),
-    ("scheme", None),
+    ("scheme", None), ("k_hw", True), ("l", True), ("b1", True),
 ])
 def test_gemm_config_rejects_bad_fields(field, value):
     """Each was accepted (l=1.5 gave 16.0 cycles; b1=0 and b2=40 passed)

@@ -201,11 +201,13 @@ LAYER = dict(c=1, kh=3, kw=3, s=1, p=0, n=1, b=8, h=8, w=8)
 @pytest.mark.parametrize("field, value, match", [
     ("c", 2.5, "is not an integer"), ("h", 8.0, "is not an integer"),
     ("s", "1", "is not an integer"), ("b", None, "is not an integer"),
-    ("b", 0, "bit-width"), ("b", 1, "bit-width"), ("b", 33, "bit-width")])
+    ("b", 0, "bit-width"), ("b", 1, "bit-width"), ("b", 33, "bit-width"),
+    ("c", True, "is not an integer"), ("s", True, "is not an integer")])
 def test_layer_config_rejects_non_integers_and_bad_widths(field, value,
                                                           match):
-    """A fractional channel count was kept as is, and b = 0 only failed
-    later, with "negative shift count" from gen_input."""
+    """A fractional channel count was kept as is, c = True built a
+    1-channel layer, and b = 0 only failed later, with "negative shift
+    count" from gen_input."""
     with pytest.raises(ValueError, match=match):
         LayerConfigWord(**{**LAYER, field: value})
 

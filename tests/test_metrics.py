@@ -93,15 +93,16 @@ NAN, INF = float("nan"), float("inf")
     (throughput_mac, (16, 1, 8, NAN)), (throughput_mac, (16, 1, 8, INF)),
     (throughput_mac, (16, 1, 8, "1e8")), (throughput_mac, (16, 1, 8, True)),
     (throughput_mac, (2.5, 1, 8, 1e8)), (throughput_mac, (16, 1.0, 8, 1e8)),
-    (throughput_mac, (16, 1, None, 1e8)),
+    (throughput_mac, (16, 1, None, 1e8)), (throughput_mac, (True, 1, 8, 1e8)),
+    (throughput_mac, (16, True, 8, 1e8)),
     (eps, (0.8, INF)), (eps, (NAN, 0.2)), (eps, ("0.8", 0.2)),
     (aep, (1e9, 1e8, NAN)), (aep, (INF, 1e8, 4102)), (aep, (1e9, None, 4102)),
     (eps, (-1, 0.2)), (aep, (-1e9, 1e8, 4102)),
 ], ids=lambda v: getattr(v, "__name__", repr(v)))
 def test_metrics_reject_non_numbers(fn, args):
     """Each of these used to return a value: nan, 0.0, a throughput of
-    K = 2.5 (throughput_mac(2.5, 1, 8, 1e8) gave 31250000.0), or a
-    negative figure (eps(-1, 0.2) gave -5.0)."""
+    K = 2.5 (throughput_mac(2.5, 1, 8, 1e8) gave 31250000.0) or of K =
+    True (12500000.0), or a negative figure (eps(-1, 0.2) gave -5.0)."""
     with pytest.raises(ValueError, match="integer|finite numbers"):
         fn(*args)
 
