@@ -119,9 +119,9 @@ def requantize(acc: np.ndarray, shift: int, b1: int,
     Rounding is monotone, so the saturation and the ReLU go first, as one
     clip to the bounds scaled by 2^shift; then the rounding half (less one
     below zero) is added and the shift is arithmetic, in place.  Where B1 +
-    shift >= 62 the scaled bounds could leave int64, and the magnitude is
-    rounded unsigned before the clip.  Exact for every shift in 0..63
-    (others raise ValueError); the input is never written."""
+    shift >= 62 the scaled bounds could leave int64, so the magnitude is
+    rounded unsigned first.  Exact for every shift in 0..63 (others raise
+    ValueError); the input is never written."""
     if not 0 <= shift <= 63:
         raise ValueError(f"requantize shift {shift} outside 0..63")
     if act not in (None, "relu"):
@@ -129,11 +129,9 @@ def requantize(acc: np.ndarray, shift: int, b1: int,
     acc = as_int64(acc, "accumulators")
     fmt = FxpFormat(b1)
     lo, hi = (0 if act else fmt.min_value), fmt.max_value
-    if b1 + shift >= 62:
-        if shift > 0:
-            mag = ((np.abs(acc).astype(np.uint64) >> (shift - 1)) + 1) >> 1
-            acc = np.sign(acc) * mag.astype(np.int64)
-        return np.minimum(np.maximum(acc, lo), hi)
+    if b1 + shift >= 62:        # so shift >= 30
+        mag = ((np.abs(acc).astype(np.uint64) >> (shift - 1)) + 1) >> 1
+        acc, shift = np.sign(acc) * mag.astype(np.int64), 0
     y = np.maximum(acc, lo << shift)
     y = np.minimum(y, hi << shift, out=y if y.ndim else None)
     if shift > 0:
