@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fxp import FxpFormat, as_int64
+from .fxp import FxpFormat, as_int64, cached_format
 from .gemm_core import GemmConfig, check_operands, gemm_cycles, gemm_obc, \
     im2col
 from .im2col_addr import LayerConfigWord
@@ -127,7 +127,7 @@ def requantize(acc: np.ndarray, shift: int, b1: int,
     if act not in (None, "relu"):
         raise ValueError(f"unknown activation {act!r}")
     acc = as_int64(acc, "accumulators")
-    fmt = FxpFormat(b1)
+    fmt = cached_format(b1)
     lo, hi = (0 if act else fmt.min_value), fmt.max_value
     if b1 + shift >= 62:        # so shift >= 30
         mag = ((np.abs(acc).astype(np.uint64) >> (shift - 1)) + 1) >> 1
@@ -185,7 +185,7 @@ def _walk(model: ModelSpec, weights, x: np.ndarray, matmul) -> list:
     requantization and the activation are the same for every caller.
     """
     _check_weights(model, weights)
-    act = FxpFormat(model.b1).check(x, "inputs")
+    act = cached_format(model.b1).check(x, "inputs")
     outputs = []
     for i, lay in enumerate(model.layers):
         if lay.kind == "gap":
@@ -247,12 +247,12 @@ def conv_direct(x: np.ndarray, w: np.ndarray, bias: np.ndarray,
     the (N, C*kh*kw) weights with the strided window view of the input,
     padded at the bottom and right, laid out (C*kh*kw, H_out*W_out).
 
-    The product is in int64 when no sum can leave it, with
-    C*kh*kw * max|x| * max|w| + max|bias| < 2^63; past that bound it is on
-    Python integers (an object array), so the result is exact at every
-    width.  Operands go through `as_int64`; an input other than (C, H, W),
-    weights other than (N, C, kh, kw) or biases other than (N,) raise
-    ValueError.
+    The product's sums are bounded by C*kh*kw * max|x| * max|w| +
+    max|bias|.  Below 2^53 it is a float64 (BLAS) product, exact there;
+    below 2^63 an int64 one; past that it is on Python integers (an object
+    array), so the result is exact at every width.  Operands go through
+    `as_int64`; an input other than (C, H, W), weights other than
+    (N, C, kh, kw) or biases other than (N,) raise ValueError.
     """
     x, w, bias = (as_int64(a, what) for a, what in
                   ((x, "inputs"), (w, "weights"), (bias, "biases")))
@@ -261,17 +261,19 @@ def conv_direct(x: np.ndarray, w: np.ndarray, bias: np.ndarray,
     if w.shape != (cfg.n, cfg.c, cfg.kh, cfg.kw) or bias.shape != (cfg.n,):
         raise ValueError(f"weights must be {(cfg.n, cfg.c, cfg.kh, cfg.kw)} "
                          f"and biases {(cfg.n,)}")
-    padded = np.zeros((cfg.c, cfg.h + cfg.p, cfg.w + cfg.p), np.int64)
+    bound = cfg.patch_len * _magnitude(x) * _magnitude(w) + _magnitude(bias)
+    dtype = np.float64 if bound < 1 << 53 else np.int64
+    padded = np.zeros((cfg.c, cfg.h + cfg.p, cfg.w + cfg.p), dtype)
     padded[:, :cfg.h, :cfg.w] = x
     sc, sh, sw = padded.strides          # (C, kh, kw, H_out, W_out) windows
     windows = np.ndarray((cfg.c, cfg.kh, cfg.kw, cfg.h_out, cfg.w_out),
-                         np.int64, padded, 0,
+                         dtype, padded, 0,
                          (sc, sh, sw, sh * cfg.s, sw * cfg.s))
-    w, cols = w.reshape(cfg.n, -1), windows.reshape(cfg.patch_len, -1)
-    if (cfg.patch_len * _magnitude(x) * _magnitude(w)
-            + _magnitude(bias) >= 1 << 63):
+    w, cols = w.reshape(cfg.n, -1).astype(dtype, copy=False), \
+        windows.reshape(cfg.patch_len, -1)
+    if bound >= 1 << 63:
         w, cols, bias = (a.astype(object) for a in (w, cols, bias))
-    y = w @ cols
+    y = (w @ cols).astype(bias.dtype, copy=False)
     y += bias[:, None]
     return y.reshape(cfg.n, cfg.h_out, cfg.w_out)
 

@@ -12,6 +12,7 @@ which downstream code exploits to keep every intermediate an exact integer.
 
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -99,3 +100,8 @@ class FxpFormat:
         if a.size and (a.min() < self.min_value or a.max() > self.max_value):
             raise ValueError(f"{what} exceed the {self.bits}-bit format")
         return a
+
+
+# one shared format per width for the per-call checks; `typed`, so 8.0
+# never hits the entry of an equal np.int64(8)
+cached_format = lru_cache(maxsize=64, typed=True)(FxpFormat)

@@ -6,13 +6,14 @@ bit-exactly.  One vectorized kernel serves both schemes (Scheme B swaps
 the coefficient and serial operands and transposes the result).  It is
 operand-major: R operands (activations or weight rows) are tiled as
 (tiles, kq, R), straight into the dtype of the half they feed, and each
-half gives (tiles * values, R) arrays.  The coefficient half holds every
-tile's full field tables (an entry per value of each field, as
-`comet.lut_arch.Layout.tables` derives them); the serial half
-counts the table reads of all bit-slices at once, with one bit mask per
-field value; one exact product of the two (float64 while its sums stay
-within 2^53, int64 past that) sums the reads, transposing neither, into
-accumulators started at the merged offset.
+half gives (tiles * halves, R) arrays.  The coefficient half holds the
+lower half of every tile's field tables (`comet.lut_arch.Layout.tables`;
+the entry at ~v is minus the one at v); the serial half counts the table
+reads of all bit-slices at once, with one bit mask per field value, and
+folds them onto the lower half, count(v) - count(~v); one exact product
+of the two (float64 while its sums stay within 2^53, int64 past that)
+sums the reads, transposing neither, into accumulators started at the
+merged offset.
 The weights' half and start are prepared once per weight set.  With
 `record` set, the kernel also returns the per-slice trace that
 :func:`comet.obc_ipc.ipc_obc` gives for one tile, for every tile at once.
@@ -24,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fxp import FxpFormat, as_int, as_int64
+from .fxp import FxpFormat, as_int, as_int64, cached_format
 from .im2col_addr import LayerConfigWord
 from .lut_arch import HYBRID, layout
 from .obc_ipc import Scheme, merged_offset
@@ -79,7 +80,7 @@ def check_operands(theta, x, bias, b1: int, b2: int):
 
 def _checked_weights(theta, bias, b2: int):
     """The weight half of `check_operands`."""
-    fmt_wt = FxpFormat(b2)
+    fmt_wt = cached_format(b2)
     theta, bias = fmt_wt.check(theta, "weights"), fmt_wt.check(bias, "biases")
     if theta.ndim != 2 or bias.shape != theta.shape[:1]:
         raise ValueError("weights must be (N, patch_len) and biases (N,)")
@@ -88,7 +89,7 @@ def _checked_weights(theta, bias, b2: int):
 
 def _checked_inputs(x, patch_len: int, b1: int, b2: int):
     """The input half of `check_operands`: the B1 format and the headroom."""
-    x = FxpFormat(b1).check(x, "inputs")
+    x = cached_format(b1).check(x, "inputs")
     if (patch_len << (b1 + b2 - 1)) + (1 << b2) >= 1 << 63:
         raise ValueError(f"a {patch_len}-long patch at B1={b1}, "
                          f"B2={b2} can overflow the int64 accumulator")
@@ -231,14 +232,17 @@ def _weight_side(theta, bias, scheme, arch, k_hw, b2):
 @lru_cache(maxsize=64)
 def _kernel(arch, k_hw):
     """(kq, signs, lit) of a (technique, k_hw) layout, read-only: the
-    padded width, the (values, kq) full sign matrix (`Layout.tables` over
-    the rows of eye(kq)) and the mask literals (per field operand, MSB
-    first, an operand of [~u, u]).  Values ascend field by field."""
+    padded width, the (halves, kq) half sign matrix (per field, the lower
+    half of `Layout.tables`' full table over the rows of eye(kq)) and the
+    mask literals (per field operand, MSB first, an operand of [~u, u]) of
+    the lower-half values field by field, then of their complements."""
     lay = layout(arch, k_hw)
     kq = lay.padded
-    signs = np.concatenate([f for *_, f in lay.tables(list(np.eye(kq)))[1]])
-    f, start, w = (np.array(a) for a in zip(*(
-        (v, s, w) for s, w, _ in lay.fields for v in range(1 << w))))
+    signs = np.concatenate([f[:len(f) // 2]
+                            for *_, f in lay.tables(list(np.eye(kq)))[1]])
+    half = [(v, s, w) for s, w, _ in lay.fields for v in range(1 << w - 1)]
+    f, start, w = (np.array(a) for a in zip(
+        *half, *((v ^ (1 << w) - 1, s, w) for v, s, w in half)))
     # a narrower field repeats its last operand: AND ignores the repeat
     j = np.minimum(np.arange(w.max()), w[:, None] - 1)
     lit = start[:, None] + j + kq * (f[:, None] >> (w[:, None] - 1 - j) & 1)
@@ -250,7 +254,7 @@ def _kernel(arch, k_hw):
 class _CoefHalf(NamedTuple):
     """The coefficient side of `_product`, from (patch_len, P) operands."""
 
-    full: np.ndarray    # (tiles * values, P) float64 full tables
+    full: np.ndarray    # (tiles * halves, P) float64: lower half tables
     sums: np.ndarray    # (tiles, P) int64: each tile's sum of coefficients
     bits: int           # the operands are at most this wide
 
@@ -259,19 +263,19 @@ class _SerialHalf(NamedTuple):
     """The serial side of `_product`, from (patch_len, Q) operands."""
 
     u: np.ndarray       # (tiles, kq, Q) unsigned b-bit patterns
-    masks: np.ndarray   # (tiles, values, Q): bit s set where slice s reads
-    counts: np.ndarray  # (tiles * values, Q): the masks as signed integers
+    masks: np.ndarray   # (tiles, 2 * halves, Q): bit s set where slice s reads
+    counts: np.ndarray  # (tiles * halves, Q) float64: folded read counts
     bits: int           # b: the operands are b-bit two's complement
 
 
 def _coef_half(cols, k_hw, arch, bits) -> _CoefHalf:
     """Tile the operands into float64 (exact for them and each tile's sum)
-    and fill the full table of every field (one entry per field value) of
-    every tile by one product with the layout's full sign matrix."""
+    and fill every tile's half tables (per field, the entries at values of
+    MSB 0) by one product with the layout's half sign matrix."""
     kq, signs, _ = _kernel(arch, k_hw)
     coef = _tiled(cols, k_hw, kq, np.float64)
     tiles, _, n_coef = coef.shape
-    full = signs @ coef                             # (tiles, values, P)
+    full = signs @ coef                             # (tiles, halves, P)
     return _CoefHalf(full.reshape(tiles * full.shape[1], n_coef),
                      coef.sum(axis=1).astype(np.int64), bits)
 
@@ -284,7 +288,9 @@ def _serial_half(cols, k_hw, arch, b) -> _SerialHalf:
     value.  In a pattern every bit from b-1 up copies the sign slice, and
     AND and NOT keep that, so a mask read as a signed integer of its
     container is the b-bit two's-complement value's signed read count: the
-    sum of +-2^s over its slices."""
+    sum of +-2^s over its slices.  A table entry at ~v is minus the one
+    at v, so the counts fold onto the lower half: count(v) - count(~v) in
+    a container twice as wide, then float64 (exact below 2^33)."""
     kq, _, lit = _kernel(arch, k_hw)
     size = (1, 2, 4, 4)[(b - 1) // 8]
     u = _tiled(cols, k_hw, kq, f"<u{size}")     # two's complement wraps
@@ -293,49 +299,53 @@ def _serial_half(cols, k_hw, arch, b) -> _SerialHalf:
     lits[:, kq:] = u
     np.invert(lits[:, kq:], out=lits[:, :kq])
     masks = np.bitwise_and.reduce(np.take(lits, lit, axis=1), axis=1)
-    counts = masks.view(f"<i{size}").reshape(tiles * lit.shape[1], n_serial)
-    return _SerialHalf(lits[:, kq:], masks, counts, b)
+    signed, h = masks.view(f"<i{size}"), lit.shape[1] // 2
+    counts = np.subtract(signed[:, :h], signed[:, h:], dtype=f"<i{2 * size}")
+    return _SerialHalf(lits[:, kq:], masks, counts.astype(np.float64)
+                       .reshape(tiles * h, n_serial), b)
 
 
 def _product(coef: _CoefHalf, serial: _SerialHalf, start, k_hw=None):
     """Doubled accumulators (P, Q) started at the sum of the `start` arrays.
 
-    One product of the full tables with the read counts sums the
-    reads into them, then the start goes in place: with -sum(coef) as the
-    start, they are the doubled products 2 * sum(coef[p] * serial[q]).
+    One product of the half tables T with the folded read counts sums the
+    reads (sum_v T[v] c[v] over the lower half of T[v] (c[v] - c[~v])),
+    then the start goes in place: with -sum(coef) as the start, they are
+    the doubled products 2 * sum(coef[p] * serial[q]).
 
     The float64 product is exact while the magnitudes bounding every
-    partial sum stay within 2^53: a full-table entry sums at most 4
+    partial sum stay within 2^53: a table entry sums at most 4
     coefficients (below 2^(coef.bits+1)), a slice reads one value per
-    field, so a field's counts sum to at most 2^b - 1 in magnitude, and a
-    tile adds at most kq * 2^(coef.bits-1) * (2^b - 1).  Past that bound
-    the product is taken in int64 instead: it may wrap, but is exact mod
-    2^64, and `check_operands` keeps the doubled result within int64.
+    field, so a field's folded counts sum to at most 2^b - 1 in magnitude,
+    and a tile adds at most kq * 2^(coef.bits-1) * (2^b - 1).  Past that
+    bound the product is taken in int64 instead: it may wrap, but is exact
+    mod 2^64, and `check_operands` keeps the doubled result within int64.
 
     Returns (products, trace).  The trace is None unless `k_hw` (the
     unpadded tile width, at most 63) is given; then it holds int64 arrays
     of shape (P, Q, tiles, b), LSB slice first: each tile's k_hw-bit PISO
-    `address`, the `lut_output` read from the full tables through the mask
-    bits, and the `accumulator` after the slice, started at -sum(coef) of
-    the tile.
+    `address`, the `lut_output` read from the half tables through the
+    mask bits (the bit at v less the bit at ~v), and the `accumulator`
+    after the slice, started at -sum(coef) of the tile.
     """
     tiles, n_coef = coef.sums.shape
-    b, kq, values = serial.bits, serial.u.shape[1], serial.masks.shape[1]
+    b, kq, h = serial.bits, serial.u.shape[1], serial.masks.shape[1] // 2
     if (tiles * kq << coef.bits - 1) * ((1 << b) - 1) <= 1 << 53:
-        y2 = (coef.full.T @ serial.counts.astype(np.float64)).astype(np.int64)
+        y2 = (coef.full.T @ serial.counts).astype(np.int64)
     else:
         y2 = coef.full.astype(np.int64).T @ serial.counts.astype(np.int64)
     for s in start:
         y2 += s
     if k_hw is None:
         return y2, None
-    # (Q, tiles, b, kq + values): the pattern bits, then the mask bits
+    # (Q, tiles, b, kq + 2 * h): the pattern bits, then the mask bits
     bits = np.unpackbits(np.concatenate((serial.u, serial.masks), axis=1)
                          [..., None].view(np.uint8), axis=-1, count=b,
                          bitorder="little").transpose(2, 0, 3, 1)
     address = bits[..., :k_hw] @ (1 << np.arange(k_hw - 1, -1, -1))
+    reads = bits[..., kq:kq + h].astype(np.int8) - bits[..., kq + h:]
     lut_output = np.einsum("tvp,qtsv->pqts", coef.full.astype(np.int64)
-                           .reshape(tiles, values, n_coef), bits[..., kq:])
+                           .reshape(tiles, h, n_coef), reads)
     weight = np.append(1 << np.arange(b - 1), -(1 << (b - 1)))
     accumulator = np.cumsum(lut_output * weight, axis=-1) \
         - coef.sums.T[:, None, :, None]

@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import accumulate
 from operator import lshift, mul
 
-from .fxp import FxpFormat, as_int, as_ints
+from .fxp import FxpFormat, as_int, as_ints, cached_format
 from .lut_arch import PreparedLut
 
 NAIVE_K_LIMIT = 24
@@ -111,10 +111,6 @@ def _spread(k: int) -> tuple[int, ...]:
                  for v in range(256))
 
 
-# per width; `typed`, so 8.0 never hits the entry of an equal np.int64(8)
-_format = lru_cache(maxsize=64, typed=True)(FxpFormat)
-
-
 def piso_schedule(operands, b: int) -> list[int]:
     """Transpose operand words into per-slice LUT addresses, LSB slice first.
 
@@ -122,7 +118,7 @@ def piso_schedule(operands, b: int) -> list[int]:
     Operands are integers that fit b bits (`FxpFormat(b).check_ints`);
     ValueError otherwise.
     """
-    ops = _format(b).check_ints(operands, "operand")
+    ops = cached_format(b).check_ints(operands, "operand")
     # slice r of the operands sits in bits r*k .. r*k + k - 1 of `word`
     k = len(ops)
     spread, word = _spread(k), 0

@@ -348,6 +348,28 @@ def test_conv_direct_is_exact_past_int64():
         _conv_loop(xs, ws, bs, wide)
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_conv_direct_either_side_of_the_float64_bound(sign):
+    """The product is in float64 while the bound 3 * max|x| * max|w| +
+    max|bias| of 3-tap patches stays below 2^53.  Each case puts the bound
+    just below, at or just above 2^53 with every sum at the bound; the last
+    has sums of 2^53 + 1 from the taps alone, which a float64 product
+    rounds to 2^53.  Every result must equal Python integers."""
+    cfg = LayerConfigWord(c=3, kh=1, kw=1, s=1, p=0, n=1, b=32, h=1, w=2)
+    m = ((1 << 53) - 1) // (3 << 26)
+    below = (1 << 53) - 1 - (3 * m << 26)
+    cases = [([1 << 26] * 3, [m] * 3, below + d) for d in (0, 1, 2)]
+    cases.append(([1 << 26, 1 << 26, 1], [1 << 26, 1 << 26, 1], 0))
+    for x, w, bias in cases:
+        x = np.repeat(np.array(x)[:, None, None], 2, axis=2) * sign
+        w, bias = np.array(w).reshape(1, 3, 1, 1), np.array([bias * sign])
+        y = conv_direct(x, w, bias, cfg)
+        assert y.dtype == np.int64
+        assert y.ravel().tolist() == _conv_loop(x, w, bias, cfg) == \
+            [sum(map(int, x[:, 0, 0] * w.ravel())) + int(bias[0])] * 2
+        assert abs(y[0, 0, 0]) >= (1 << 53) - 1
+
+
 CONV_2X2 = LayerConfigWord(c=1, kh=2, kw=2, s=1, p=0, n=2, b=8, h=3, w=3)
 
 

@@ -20,7 +20,8 @@ from comet.gemm_core import (
 )
 from comet.fxp import FxpFormat
 from comet.im2col_addr import LayerConfigWord
-from comet.lut_arch import PreparedLut, field_layout, padded_layout
+from comet.lut_arch import PreparedLut, field_layout, mirror_read, \
+    padded_layout
 from comet.obc_ipc import IpcProblem, Scheme, build_naive_lut, ipc_obc, \
     merged_offset, piso_schedule
 from comet.tensor_io import SplitMix64
@@ -398,28 +399,42 @@ def test_gemm_at_largest_slice_weight(scheme, arch):
     cfg = GemmConfig(k_hw=8, l=1, scheme=scheme, arch=arch, b1=b1, b2=b2)
     y, _, _ = gemm_obc(theta, x, bias, cfg)
     assert (y == gemm_oracle(theta, x, bias)).all()
-    # the kernel's full tables (sign-matrix product) are PreparedLut's,
-    # here at 32-bit coefficients with entries up to 2^33
+    # the kernel's half tables (sign-matrix product), each followed by its
+    # negated mirror, are PreparedLut's full tables, here at 32-bit
+    # coefficients with entries up to 2^33
     coeffs = [-(1 << 31)] * 5 + _rand((3,), 32, seed=64).tolist()
     signs = _kernel(arch, len(coeffs))[1]
+    halves = (signs @ np.array(coeffs)).astype(np.int64).tolist()
+    got = []
+    for _, _, f in PreparedLut(arch, coeffs)._full:
+        half, halves = halves[:len(f) // 2], halves[len(f) // 2:]
+        got += half + [-v for v in reversed(half)]
+    assert halves == []
     want = np.concatenate([f for _, _, f in PreparedLut(arch, coeffs)._full])
-    assert ((signs @ np.array(coeffs)).astype(np.int64) == want).all()
+    assert got == want.tolist()
 
 
 @pytest.mark.parametrize("k_hw", [1, 2, 3, 5, 8, 16, 17])
 @pytest.mark.parametrize("arch", ARCHS)
 def test_kernel_signs_are_prepared_full_tables_of_unit_coefficients(arch,
                                                                     k_hw):
-    """Column i of the kernel's full sign matrix is `PreparedLut`'s full
-    tables, field after field, of the i-th unit coefficient vector over
-    the padded width, at the kernel's group size."""
+    """Column i of the kernel's half sign matrix is the lower half of each
+    of `PreparedLut`'s full tables, field after field, of the i-th unit
+    coefficient vector over the padded width, at the kernel's group size;
+    each full table's upper half is its lower half negated and reversed
+    (the entry at ~v is minus the entry at v), so the halves determine
+    every full-table entry."""
     kq, signs, lit = _kernel(arch, k_hw)
     q = PreparedLut(arch, [1] * k_hw).q
-    assert signs.shape == (lit.shape[1], kq)
+    assert signs.shape == (lit.shape[1] // 2, kq)
     for i, unit in enumerate(np.eye(kq, dtype=np.int64).tolist()):
         lut = PreparedLut(arch, unit, q=q)
-        full = [v for _, _, f in lut._full for v in f]
-        assert signs[:, i].tolist() == full, i
+        halves = []
+        for _, _, f in lut._full:
+            half = list(f[:len(f) // 2])
+            assert list(f) == half + [-v for v in reversed(half)], i
+            halves += half
+        assert signs[:, i].tolist() == halves, i
 
 
 @pytest.mark.parametrize("scheme", [Scheme.A, Scheme.B])
@@ -518,44 +533,57 @@ def test_product_wraps_mod_2_64_to_an_exact_int64(kind):
 @pytest.mark.parametrize("b", [2, 8, 9, 16, 17, 32])
 @pytest.mark.parametrize("kind", ARCHS)
 def test_serial_counts_are_signed_one_hot_reads(kind, b):
-    """At the edges of the 1-, 2- and 4-byte containers, every column of
-    `_serial_half`'s counts is, tile by tile, the sum over the slices s of
-    +-2^s (the sign slice negative) at each field's value in the slice's
-    `piso_schedule` address."""
+    """At the edges of the 1-, 2- and 4-byte containers, each value mask
+    of `_serial_half`, read as a signed integer, is, tile by tile, the sum
+    over the slices s of +-2^s (the sign slice negative) at that field
+    value in the slice's `piso_schedule` address; the masks run over every
+    field's lower-half values, then their complements in the same order.
+    The folded count of row (field, v) is the signed reads at v minus
+    those at ~v."""
     tiles, kq, n = 3, 8, 7
     fields = field_layout(kind, *padded_layout(kq))
     serial = _rand((tiles, kq, n), b, seed=200 + b)
     lo, hi = -(1 << (b - 1)), (1 << (b - 1)) - 1
     serial[:, :, :3] = np.array([lo, -1, hi])
     serial[:, ::3, 3], serial[:, 1::3, 3] = lo, hi
-    values = sum(1 << w for _, w, _ in fields)
-    counts = _serial_half(serial.reshape(tiles * kq, n), kq, kind, b).counts
-    assert counts.shape == (tiles * values, n)
+    halves = sum(1 << w - 1 for _, w, _ in fields)
+    got = _serial_half(serial.reshape(tiles * kq, n), kq, kind, b)
+    masks = got.masks.view(f"<i{got.masks.itemsize}")
+    assert masks.shape == (tiles, 2 * halves, n)
+    assert got.counts.shape == (tiles * halves, n)
+    assert got.counts.dtype == np.float64
     for t, r in np.ndindex(tiles, n):
-        want = [0] * values
+        reads = [[0] * (1 << w) for _, w, _ in fields]
         for s, address in enumerate(piso_schedule(serial[t, :, r], b)):
-            column = 0
-            for start, w, _ in fields:
+            for (start, w, _), read in zip(fields, reads):
                 f = address >> (kq - start - w) & ((1 << w) - 1)
-                want[column + f] += -(1 << s) if s == b - 1 else 1 << s
-                column += 1 << w
-        assert counts[t * values:(t + 1) * values, r].tolist() == want, (t, r)
+                read[f] += -(1 << s) if s == b - 1 else 1 << s
+        lower = [v for read in reads for v in read[:len(read) // 2]]
+        upper = [v for read in reads for v in read[:len(read) // 2 - 1:-1]]
+        assert masks[t, :, r].tolist() == lower + upper, (t, r)
+        want = [v - c for v, c in zip(lower, upper)]
+        assert got.counts[t * halves:(t + 1) * halves, r].tolist() == want, \
+            (t, r)
 
 
 @pytest.mark.parametrize("kq", [4, 8, 16])
 @pytest.mark.parametrize("kind", ARCHS[:4])
 def test_fold_full_tables_are_the_naive_lut(kind, kq):
-    """`full_signs @ coeffs` (the full sign matrix of `_kernel`) holds
-    every field value's signed read; summed over the fields at an
+    """`half_signs @ coeffs` (the half sign matrix of `_kernel`) holds
+    the lower half of every field's table; read through the mirror (the
+    entry at ~v is minus the entry at v) and summed over the fields at an
     address, they give the naive table's entry."""
     coeffs = _rand((kq,), 8, seed=90 + kq)
     fields = field_layout(kind, *padded_layout(kq))
-    full = _kernel(kind, kq)[1] @ coeffs
+    half = _kernel(kind, kq)[1] @ coeffs
+    assert len(half) == sum(1 << w - 1 for _, w, _ in fields)
     address = np.arange(1 << kq)
     value, column = 0, 0
     for start, w, _ in fields:
         f = address >> (kq - start - w) & ((1 << w) - 1)
-        value, column = value + full[column + f], column + (1 << w)
+        index, sign = mirror_read(f, w, True)
+        value = value + sign * half[column + index]
+        column += 1 << w - 1
     assert value.tolist() == build_naive_lut(coeffs.tolist()).entries
 
 
