@@ -273,7 +273,7 @@ def conv_direct(x: np.ndarray, w: np.ndarray, bias: np.ndarray,
         windows.reshape(cfg.patch_len, -1)
     if bound >= 1 << 63:
         w, cols, bias = (a.astype(object) for a in (w, cols, bias))
-    y = (w @ cols).astype(bias.dtype, copy=False)
+    y = (w @ cols).astype(bias.dtype, copy=False)     # float64 to int64
     y += bias[:, None]
     return y.reshape(cfg.n, cfg.h_out, cfg.w_out)
 

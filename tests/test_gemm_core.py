@@ -559,7 +559,7 @@ def test_serial_counts_are_signed_one_hot_reads(kind, b):
                 f = address >> (kq - start - w) & ((1 << w) - 1)
                 read[f] += -(1 << s) if s == b - 1 else 1 << s
         lower = [v for read in reads for v in read[:len(read) // 2]]
-        upper = [v for read in reads for v in read[:len(read) // 2 - 1:-1]]
+        upper = [v for read in reads for v in read[::-1][:len(read) // 2]]
         assert masks[t, :, r].tolist() == lower + upper, (t, r)
         want = [v - c for v, c in zip(lower, upper)]
         assert got.counts[t * halves:(t + 1) * halves, r].tolist() == want, \
