@@ -83,8 +83,9 @@ class ModelSpec:
 
 
 def _conv_shift(patch_len: int, b2: int) -> int:
-    # tracks typical accumulator growth (weight magnitude times sqrt of
-    # the fan-in) so activations stay lively instead of collapsing to zero
+    # tracks accumulator growth (weight magnitude times sqrt of the fan-in).
+    # (B1, B2) = (4, 4) collapses: 72 of 80 runs give all-zero logits (seed
+    # 42 weights, inputs 0-9, 2 schemes x 4 LUTs); (8|16, 4) and B2 = 8: none
     return max(0, b2 - 2 + math.ceil(math.log2(patch_len)) // 2)
 
 

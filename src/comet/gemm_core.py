@@ -239,7 +239,7 @@ def _kernel(arch, k_hw):
     lay = layout(arch, k_hw)
     kq = lay.padded
     signs = np.concatenate([f[:len(f) // 2]
-                            for *_, f in lay.tables(list(np.eye(kq)))[1]])
+                            for f in lay.tables(list(np.eye(kq)))])
     half = [(v, s, w) for s, w, _ in lay.fields for v in range(1 << w - 1)]
     f, start, w = (np.array(a) for a in zip(
         *half, *((v ^ (1 << w) - 1, s, w) for v, s, w in half)))

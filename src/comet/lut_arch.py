@@ -9,7 +9,7 @@ with b_1 the most-significant address bit.  What differs is what each
 technique stores: `field_layout` cuts the address into fields, each with
 a stored sub-table that may keep only its mirror half; `layout` caches
 those facts per (kind, K, q), and `Layout.tables` builds every field's
-full table from coefficients and slices the stored one from it, for
+full table from coefficients (the stored one is a slice of it), for
 `PreparedLut` and (over unit coefficients) the vectorized GEMM engine.
 The trace names the nodes each read touches, so structural claims (node
 sharing, half sums, pair nodes) are testable.  A closed-form cost model
@@ -141,22 +141,17 @@ def mirror_read(f, width, mirrored):
 
 
 class Layout(NamedTuple):
-    """The layout facts of one (kind, k, q), from `layout`."""
+    """The layout facts of one (kind, k, q), from `layout`, and its tables."""
 
     padded: int     # address width after zero padding
     q: int          # group size
     fields: tuple   # `field_layout`: per field (start, width, mirrored)
     reads: tuple    # per field (shift to its LSB, value mask)
 
-    def tables(self, coeffs) -> tuple[list, list]:
-        """Stored and full tables of coefficients padded to `padded`: per
-        field, the stored table, and (shift, mask, full table), the full
-        table being its `field_entries` and the stored one its first half
-        when the field is mirrored, else all of it.  Works on numpy
-        vectors as on ints, as `field_entries` does."""
-        full = [field_entries(coeffs[s:s + w]) for s, w, _ in self.fields]
-        return ([t[:1 << (w - m)] for (_, w, m), t in zip(self.fields, full)],
-                [(*r, t) for r, t in zip(self.reads, full)])
+    def tables(self, coeffs) -> list:
+        """One full table per field (`field_entries`) of coefficients
+        padded to `padded`; works on numpy vectors as on ints."""
+        return [field_entries(coeffs[s:s + w]) for s, w, _ in self.fields]
 
 
 @lru_cache(maxsize=256)
@@ -173,8 +168,8 @@ class PreparedLut:
     """A LUT technique bound to one coefficient vector, evaluable per address.
 
     Builds every field's full table (one entry per field value) once and
-    keeps its stored slice for the trace; a lookup reads one full-table
-    entry per field and sums them.
+    keeps nothing else: a lookup reads one full-table entry per field and
+    sums them, and the stored tables are sliced only when read.
     """
 
     def __init__(self, kind: str, coeffs: list[int], q: int | None = None):
@@ -189,14 +184,15 @@ class PreparedLut:
         self._size = 1 << self.k
         self.padded = list(coeffs) + [0] * self._pad
         # _full, per field: (shift to its LSB, value mask, full table)
-        self.tables, self._full = lay.tables(self.padded)
+        self._full = [(*r, t)
+                      for r, t in zip(lay.reads, lay.tables(self.padded))]
 
     @property
-    def _reads(self):
-        """Per field: (shift to its LSB, value mask, width, mirrored, table)."""
-        lay = self._layout
-        return [(*r, w, m, t)
-                for r, (_, w, m), t in zip(lay.reads, lay.fields, self.tables)]
+    def tables(self) -> list:
+        """The stored tables: per field, the first half of its full table
+        when the field is mirrored, else all of it."""
+        return [t[:1 << (w - m)]
+                for (_, w, m), (*_, t) in zip(self._layout.fields, self._full)]
 
     def _address(self, address: int) -> int:
         if not 0 <= address < self._size:
@@ -217,14 +213,15 @@ class PreparedLut:
         if not record:
             return self.value(address), None
         a = self._address(address)
+        tables = [t for *_, t in self._full]
         reads = []   # per field: (field value, stored index, signed entry)
-        for shift, mask, w, m, table in self._reads:
+        for (shift, mask, t), (_, w, m) in zip(self._full, self._layout.fields):
             f = (a >> shift) & mask
-            i, sign = mirror_read(f, w, m)
-            reads.append((f, i, sign * table[i]))
+            i, sign = mirror_read(f, w, m)    # i lies in the stored half
+            reads.append((f, i, sign * t[i]))
         nodes = {}
         if self.kind == HYBRID:
-            for j, ((f, _, v), t) in enumerate(zip(reads, self.tables)):
+            for j, ((f, _, v), t) in enumerate(zip(reads, tables)):
                 nodes[f"pair{j}.sum"] = -t[0]
                 nodes[f"pair{j}.diff"] = -t[1]
                 nodes[f"pair{j}.sel"] = (f ^ f >> 1) & 1
@@ -233,7 +230,7 @@ class PreparedLut:
             per = len(reads) // self.p
             for g in range(self.p):
                 self._group_nodes(nodes, g, reads[g * per:(g + 1) * per],
-                                  self.tables[g * per:(g + 1) * per])
+                                  tables[g * per:(g + 1) * per])
         nodes["value"] = sum(v for _, _, v in reads)
         return nodes["value"], StructTrace(nodes)
 

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fxp import FxpFormat, as_int64
+from .fxp import FxpFormat, as_int, as_int64
 
 MAGIC = b"CBT1"
 VERSION = 1
@@ -109,7 +109,7 @@ _MIX1, _MIX2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 
 class SplitMix64:
     def __init__(self, seed: int):
-        self.state = seed & _MASK
+        self.state = as_int(seed, "seed") & _MASK
 
     def next_u64(self) -> int:
         return self.next_int(64) + (1 << 63)
@@ -125,6 +125,7 @@ class SplitMix64:
         """`next_int(bits)` drawn prod(shape) times, as an int64 array of
         `shape`; bits in [1, 64].  Computed in uint64, which wraps mod
         2**64 as the masks of `next_int` do."""
+        bits = as_int(bits, "bits")
         if not 1 <= bits <= 64:
             raise ValueError(f"bits must be in [1, 64], got {bits}")
         n = int(np.prod(shape, dtype=np.int64))

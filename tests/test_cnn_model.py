@@ -251,6 +251,25 @@ def test_infer_wide_activations():
     assert res.logits == infer_oracle(model, w, x)
 
 
+@pytest.mark.parametrize("scheme, cycles", [(Scheme.A, 38_464),
+                                            (Scheme.B, 19_232)])
+@pytest.mark.parametrize("arch", KINDS)
+def test_infer_at_b1_8_b2_4_end_to_end(scheme, cycles, arch):
+    """(B1, B2) = (8, 4), the widths of four of the six published designs:
+    exact against the oracle with logits not all zero, and Scheme A, serial
+    over the 8-bit activations, takes twice Scheme B's cycles."""
+    model = build_modified_lenet5(8, 4)
+    w = gen_weights(42, model, 4)
+    cfg = GemmConfig(k_hw=16, l=10, scheme=scheme, arch=arch)
+    assert model_cycles(model, cfg) == cycles
+    for seed in range(3):
+        x = gen_input(seed, (1, 32, 32), 8)
+        res = infer(model, w, x, cfg)
+        assert res.logits == infer_oracle(model, w, x), seed
+        assert any(v != 0 for v in res.logits), seed
+        assert res.total_cycles == cycles
+
+
 def test_total_cycles_match_closed_form():
     model = build_modified_lenet5()
     w = gen_weights(1, model, 8)

@@ -4,6 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
 from comet.cnn_model import build_modified_lenet5
 from comet.gemm_core import im2col
@@ -41,6 +42,35 @@ def test_stream_matches_im2col(cfg, k_hw):
     for ch in range(cfg.n):
         assert (got[ch, :, :cfg.patch_len] == ref.T).all()
         assert (got[ch, :, cfg.patch_len:] == 0).all()   # tile-tail zeros
+
+
+@settings(max_examples=150, deadline=None)
+@given(c=st.integers(1, 3), n=st.integers(1, 3), kh=st.integers(1, 4),
+       kw=st.integers(1, 4), s=st.sampled_from([1, 2]),
+       p=st.sampled_from([0, 1]), h=st.integers(1, 8), w=st.integers(1, 8),
+       k_hw=st.integers(1, 20))
+def test_generator_on_random_small_layers(c, n, kh, kw, s, p, h, w, k_hw):
+    """Every small layer the word admits, at k_hw up to 20: the x reads
+    gather im2col's columns (tile tails read 0), the four counters carry
+    as often as their ranges give, every output is written once, and the
+    bias is enabled exactly while the tile under calculation came from a
+    carry that also finished its position."""
+    try:
+        cfg = LayerConfigWord(c=c, kh=kh, kw=kw, s=s, p=p, n=n, b=8, h=h, w=w)
+    except ValueError:
+        reject()
+    x, stream, writes, carries = _collect(cfg, k_hw)
+    assert (stream[:, :, :cfg.patch_len] == im2col(x, cfg).T).all()
+    assert (stream[:, :, cfg.patch_len:] == 0).all()
+    hw, tiles = cfg.h_out * cfg.w_out, cfg.tiles(k_hw)
+    assert carries == Counter({1: tiles * hw * n, 2: hw * n, 3: n, 4: 1})
+    assert sorted(writes) == list(range(n * hw))
+    state, last_tile = CounterState.initial(), False
+    while not state.done:
+        state, events = step(state, cfg, k_hw)
+        if AddrEvent("carry", level=1) in events:
+            last_tile = AddrEvent("carry", level=2) in events
+        assert bias_enable(state, cfg, k_hw) == last_tile
 
 
 def test_gather_stream_rejects_non_integer_input():

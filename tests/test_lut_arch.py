@@ -55,13 +55,16 @@ def test_values_with_explicit_q(kind):
 @pytest.mark.parametrize("k", [1, 3, 4, 8, 12])
 def test_full_tables_are_stored_tables_read_through_mirror(kind, k):
     """The table each read uses holds, at every field value, the stored
-    entry that `mirror_read` names, with its sign."""
+    entry that `mirror_read` names, with its sign; each read's shift and
+    mask are those of its field."""
     for q in [None] + _admitted_qs(kind, k):
         lut = PreparedLut(kind, _coeffs(k, salt=5), q=q)
-        assert len(lut._full) == len(lut._reads) == len(lut.tables)
-        for (shift, mask, full), (shift_r, mask_r, w, m, table) in zip(
-                lut._full, lut._reads):
-            assert (shift, mask) == (shift_r, mask_r) and len(full) == 1 << w
+        fields, padded = lut._layout.fields, lut.p * lut.q
+        assert len(lut._full) == len(fields) == len(lut.tables)
+        for (shift, mask, full), (s, w, m), table in zip(
+                lut._full, fields, lut.tables):
+            assert (shift, mask) == (padded - s - w, (1 << w) - 1)
+            assert len(full) == 1 << w
             want = []
             for f in range(1 << w):
                 i, sign = mirror_read(f, w, m)
@@ -88,7 +91,9 @@ def test_stored_tables_are_first_halves_of_full_tables(kind, k):
     gives."""
     for q in [None] + _admitted_qs(kind, k):
         lut = PreparedLut(kind, _coeffs(k, salt=7), q=q)
-        for (*_, full), (*_, w, m, table) in zip(lut._full, lut._reads):
+        assert "tables" not in vars(lut)    # sliced only when read
+        for (*_, full), (_, w, m), table in zip(
+                lut._full, lut._layout.fields, lut.tables):
             assert len(table) == 1 << (w - m)
             assert list(table) == list(full[:len(table)]), (q, w)
         assert sum(map(len, lut.tables)) == \

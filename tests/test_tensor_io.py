@@ -162,6 +162,22 @@ def test_fill_rejects_bits_outside_1_64():
             SplitMix64(0).fill((2,), bits)
 
 
+def test_splitmix_takes_seeds_and_widths_through_as_int():
+    """A numpy integer seed or width acts as the equal Python int (a seed
+    is taken mod 2^64); bools, floats, strings and None are rejected."""
+    want = SplitMix64(3).fill((5,), 8)
+    assert SplitMix64(np.int64(3)).state == SplitMix64(3).state
+    assert SplitMix64(np.uint64(2 ** 64 - 1)).state == SplitMix64(-1).state
+    assert (gen_input(np.int64(3), (5,), 8) == want).all()
+    assert (SplitMix64(3).fill((5,), np.int64(8)) == want).all()
+    for seed in (0.5, "3", None, True):
+        with pytest.raises(ValueError, match="seed"):
+            SplitMix64(seed)
+    for bits in (8.0, True, "8", None):
+        with pytest.raises(ValueError, match="bits"):
+            SplitMix64(0).fill((2,), bits)
+
+
 def test_gen_input_deterministic():
     a = gen_input(5, (1, 4, 4), 8)
     b = gen_input(5, (1, 4, 4), 8)
