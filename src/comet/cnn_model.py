@@ -14,11 +14,11 @@ and oracle paths trivially identical.
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .fxp import FxpFormat, as_int64, cached_format
+from .fxp import FxpFormat, as_int, as_int64, cached_format
 from .gemm_core import GemmConfig, check_operands, gemm_cycles, gemm_obc, \
     im2col
 from .im2col_addr import LayerConfigWord
@@ -26,7 +26,8 @@ from .im2col_addr import LayerConfigWord
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """One model layer: a convolution, global average pool, or dense layer."""
+    """One model layer: a convolution, global average pool, or dense layer.
+    Its GEMM shapes are cached per instance, outside the compared fields."""
 
     kind: str                        # "conv" | "gap" | "fc"
     cfg: LayerConfigWord | None = None
@@ -35,7 +36,7 @@ class LayerSpec:
     act: str | None = None           # "relu" or None
     shift: int = 0                   # post-accumulation right shift
 
-    @property
+    @cached_property
     def weight_shape(self) -> tuple[int, ...]:
         """(N, C, kh, kw) for a convolution, (out, in) for a dense layer."""
         if self.kind == "conv":
@@ -45,14 +46,14 @@ class LayerSpec:
             return (self.out_features, self.in_features)
         raise ValueError("gap layers have no weights")
 
-    @property
+    @cached_property
     def out_shape(self) -> tuple[int, ...]:
         """(N, H_out, W_out) for a convolution, (out,) for a dense layer."""
         if self.kind == "conv":
             return (self.cfg.n, self.cfg.h_out, self.cfg.w_out)
         return self.weight_shape[:1]
 
-    @property
+    @cached_property
     def patch_len(self) -> int:
         """GEMM inner dimension; a dense layer is the 1x1 im2col case."""
         return math.prod(self.weight_shape[1:])
@@ -121,8 +122,10 @@ def requantize(acc: np.ndarray, shift: int, b1: int,
     clip to the bounds scaled by 2^shift; then the rounding half (less one
     below zero) is added and the shift is arithmetic, in place.  Where B1 +
     shift >= 62 the scaled bounds could leave int64, so the magnitude is
-    rounded unsigned first.  Exact for every shift in 0..63 (others raise
-    ValueError); the input is never written."""
+    rounded unsigned first.  Exact for every shift in 0..63; a shift that
+    `as_int` rejects (a bool, 2.5, "2") or outside 0..63 raises ValueError.
+    The input is never written."""
+    shift = as_int(shift, "requantize shift")
     if not 0 <= shift <= 63:
         raise ValueError(f"requantize shift {shift} outside 0..63")
     if act not in (None, "relu"):
@@ -220,7 +223,7 @@ def infer(model: ModelSpec, weights, x: np.ndarray, gemm_cfg: GemmConfig,
 
     outputs = _walk(model, weights, x, matmul)
     logits = outputs[-1]
-    return InferResult([int(v) for v in logits], int(np.argmax(logits)),
+    return InferResult(logits.tolist(), int(logits.argmax()),
                        sum(cycles), outputs, traces)
 
 

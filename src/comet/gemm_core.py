@@ -109,6 +109,9 @@ def _im2col_map(cfg: LayerConfigWord) -> np.ndarray:
     return index
 
 
+_ZERO = np.zeros(1, np.int64)     # what im2col's pad taps read
+
+
 def im2col(x: np.ndarray, cfg: LayerConfigWord) -> np.ndarray:
     """Flatten convolution patches of `x` (C, H, W) into an (Np, M) matrix.
 
@@ -120,7 +123,7 @@ def im2col(x: np.ndarray, cfg: LayerConfigWord) -> np.ndarray:
     x = as_int64(x, "inputs")
     if x.shape != (cfg.c, cfg.h, cfg.w):
         raise ValueError(f"input shape {x.shape} != {(cfg.c, cfg.h, cfg.w)}")
-    return np.append(x, 0)[_im2col_map(cfg)]
+    return np.concatenate((x.reshape(-1), _ZERO))[_im2col_map(cfg)]
 
 
 def gemm_oracle(theta: np.ndarray, xcols: np.ndarray,
@@ -142,12 +145,13 @@ def gemm_cycles(n: int, m: int, patch_len: int, cfg: GemmConfig) -> int:
     return m * tiles * cfg.serial_bits * (-(-n // cfg.l))
 
 
-def _tiled(cols: np.ndarray, k_hw: int, width: int, dtype) -> np.ndarray:
-    """(patch_len, R) -> (tiles, width, R) of `dtype`, zeros after values."""
+def _tiled(cols: np.ndarray, k_hw: int, out: np.ndarray) -> np.ndarray:
+    """(patch_len, R) written tile by tile into the zeroed (tiles, width, R)
+    `out`, in its dtype, zeros after the values; returns `out`."""
     (n, r), full = cols.shape, cols.shape[0] // k_hw
-    out = np.zeros((-(-n // k_hw), width, r), dtype)
     out[:full, :k_hw] = cols[:full * k_hw].reshape(full, k_hw, r)
-    out[full:, :n - full * k_hw] = cols[full * k_hw:]
+    if n > full * k_hw:         # the tail: the last tile's first values
+        out[full, :n - full * k_hw] = cols[full * k_hw:]
     return out
 
 
@@ -187,11 +191,12 @@ def gemm_obc(theta: np.ndarray, xcols: np.ndarray, bias: np.ndarray,
     else:
         coef = _coef_half(xcols, cfg.k_hw, cfg.arch, cfg.b1)
         y2, trace = _product(coef, half,
-                             (-coef.sums.sum(axis=0)[:, None], start), k_hw)
+                             (-np.add.reduce(coef.sums)[:, None], start), k_hw)
         y2 = y2.T
         if record:
             trace = {k: v.transpose(1, 0, 2, 3) for k, v in trace.items()}
-    assert not (y2 & 1).any(), "doubled-domain result must be even"
+    assert not np.bitwise_or.reduce(y2, axis=None) & 1, \
+        "doubled-domain result must be even"
     if record:                  # a zero-length patch has no last tile
         trace["accumulator"][:, :, -1:] += 2 * bias[:, None, None, None]
     cycles = gemm_cycles(len(theta), xcols.shape[1], theta.shape[1], cfg)
@@ -269,20 +274,24 @@ class _SerialHalf(NamedTuple):
 
 
 def _coef_half(cols, k_hw, arch, bits) -> _CoefHalf:
-    """Tile the operands into float64 (exact for them and each tile's sum)
-    and fill every tile's half tables (per field, the entries at values of
+    """Tile the operands into float64 (exact for them and each tile's sum;
+    one cast when they fill every tile, as at kq == k_hw with no tail) and
+    fill every tile's half tables (per field, the entries at values of
     MSB 0) by one product with the layout's half sign matrix."""
     kq, signs, _ = _kernel(arch, k_hw)
-    coef = _tiled(cols, k_hw, kq, np.float64)
-    tiles, _, n_coef = coef.shape
+    tiles, n_coef = -(-len(cols) // k_hw), cols.shape[1]
+    coef = cols.reshape(tiles, kq, n_coef).astype(np.float64) \
+        if tiles * kq == len(cols) else \
+        _tiled(cols, k_hw, np.zeros((tiles, kq, n_coef), np.float64))
     full = signs @ coef                             # (tiles, halves, P)
     return _CoefHalf(full.reshape(tiles * full.shape[1], n_coef),
-                     coef.sum(axis=1).astype(np.int64), bits)
+                     np.add.reduce(coef, 1).astype(np.int64), bits)
 
 
 def _serial_half(cols, k_hw, arch, b) -> _SerialHalf:
-    """Tile the serial operands straight into b-bit patterns u (unsigned,
-    only the bytes b needs), and slice them LSB first, the sign slice
+    """Tile the serial operands straight into the upper half of the literal
+    array [~u, u] as b-bit patterns u (unsigned, only the bytes b needs),
+    invert them into its lower half, and slice them LSB first, the sign slice
     weighing negative.  The AND over a field's operands of u or ~u is, per
     field value, a mask whose bit s is set exactly where slice s reads that
     value.  In a pattern every bit from b-1 up copies the sign slice, and
@@ -293,15 +302,14 @@ def _serial_half(cols, k_hw, arch, b) -> _SerialHalf:
     a container twice as wide, then float64 (exact below 2^33)."""
     kq, _, lit = _kernel(arch, k_hw)
     size = (1, 2, 4, 4)[(b - 1) // 8]
-    u = _tiled(cols, k_hw, kq, f"<u{size}")     # two's complement wraps
-    tiles, _, n_serial = u.shape
-    lits = np.empty((tiles, 2 * kq, n_serial), u.dtype)   # [~u, u]
-    lits[:, kq:] = u
-    np.invert(lits[:, kq:], out=lits[:, :kq])
-    masks = np.bitwise_and.reduce(np.take(lits, lit, axis=1), axis=1)
+    tiles, n_serial = -(-len(cols) // k_hw), cols.shape[1]
+    lits = np.zeros((tiles, 2 * kq, n_serial), f"<u{size}")   # [~u, u]
+    u = _tiled(cols, k_hw, lits[:, kq:])        # two's complement wraps
+    np.invert(u, out=lits[:, :kq])
+    masks = np.bitwise_and.reduce(lits.take(lit, axis=1), axis=1)
     signed, h = masks.view(f"<i{size}"), lit.shape[1] // 2
     counts = np.subtract(signed[:, :h], signed[:, h:], dtype=f"<i{2 * size}")
-    return _SerialHalf(lits[:, kq:], masks, counts.astype(np.float64)
+    return _SerialHalf(u, masks, counts.astype(np.float64)
                        .reshape(tiles * h, n_serial), b)
 
 

@@ -94,10 +94,15 @@ def test_requantize_exact_at_every_shift():
 
 
 def test_requantize_rejects_non_integers():
-    """A cast truncated [2.7, -3.9] to [2, -3] and wrapped 2^63 + 5 to -128."""
+    """A cast truncated [2.7, -3.9] to [2, -3] and wrapped 2^63 + 5 to -128;
+    a shift of True ran as 1, and 2.5, "2" or None raised TypeError."""
     for acc in (np.array([2.7, -3.9]), np.array([(1 << 63) + 5], np.uint64)):
         with pytest.raises(ValueError, match="int64 integers"):
             requantize(acc, 0, 8)
+    for shift in (True, 2.5, "2", None):
+        with pytest.raises(ValueError, match="shift .* not an integer"):
+            requantize(np.array([6]), shift, 8)
+    assert requantize(np.array([6]), np.int64(2), 8).tolist() == [2]
 
 
 @pytest.mark.parametrize("shift", [-1, 64, 100])

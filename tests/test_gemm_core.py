@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from comet import gemm_core
 from comet.gemm_core import (
     GemmConfig,
     _im2col_map,
@@ -350,6 +351,60 @@ def test_gemm_matches_oracle(scheme, arch):
     cfg = GemmConfig(k_hw=8, l=3, scheme=scheme, arch=arch, b1=8, b2=8)
     y, _, _ = gemm_obc(theta, x, bias, cfg)
     assert (y == gemm_oracle(theta, x, bias)).all()
+
+
+@pytest.mark.parametrize("scheme", [Scheme.A, Scheme.B])
+@pytest.mark.parametrize("k_hw", [1, 3, 4, 5, 16, 17])
+def test_gemm_exact_over_the_tiling_cases(k_hw, scheme):
+    """A tail or none, and kq == k_hw or kq > k_hw (kq is 2, 4, 4, 8, 16
+    and 20 here): exact with `record` off and on, and with it the last
+    slice's accumulators, summed over the tiles and halved, are the
+    result."""
+    lens = [p for p in (k_hw - 1, k_hw, 2 * k_hw, 2 * k_hw + 1) if p >= 1]
+    for patch_len in lens:
+        theta = _rand((3, patch_len), 8, seed=patch_len)
+        x = _rand((patch_len, 4), 8, seed=100 + patch_len)
+        bias = _rand((3,), 8, seed=200 + patch_len)
+        want = gemm_oracle(theta, x, bias)
+        for arch in ARCHS:
+            cfg = GemmConfig(k_hw=k_hw, l=2, scheme=scheme, arch=arch)
+            for record in (False, True):
+                y, _, tr = gemm_obc(theta, x, bias, cfg, record=record)
+                assert (y == want).all(), (patch_len, arch, record)
+                if record:
+                    last = tr["accumulator"][..., -1].sum(axis=2)
+                    assert (last == 2 * y).all(), (patch_len, arch)
+
+
+@pytest.mark.parametrize("scheme", [Scheme.A, Scheme.B])
+def test_an_odd_accumulator_fails_the_evenness_check(monkeypatch, scheme):
+    """The doubled-domain assert fires on one odd accumulator, with and
+    without `record`; it passes an exact result with odd entries (so it
+    reads bit 0 alone) and empty results."""
+    product, odd = gemm_core._product, []
+
+    def patched(*args):
+        y2, trace = product(*args)
+        if odd and y2.size:
+            y2[-1, -1] += 1
+        return y2, trace
+
+    monkeypatch.setattr(gemm_core, "_product", patched)
+    cfg = GemmConfig(k_hw=4, l=1, scheme=scheme, arch="hybrid")
+    theta, x = _rand((3, 6), 8, seed=81), _rand((6, 5), 8, seed=82)
+    bias = _rand((3,), 8, seed=83)
+    want = gemm_oracle(theta, x, bias)
+    assert (want % 2 == 1).any()
+    for record in (False, True):
+        assert (gemm_obc(theta, x, bias, cfg, record=record)[0] == want).all()
+    odd.append(True)
+    for record in (False, True):
+        with pytest.raises(AssertionError, match="even"):
+            gemm_obc(theta, x, bias, cfg, record=record)
+        for n, m in ((0, 5), (3, 0)):
+            y, _, _ = gemm_obc(theta[:n], x[:, :m], bias[:n], cfg,
+                               record=record)
+            assert y.shape == (n, m)
 
 
 @pytest.mark.parametrize("scheme", [Scheme.A, Scheme.B])

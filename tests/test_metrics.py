@@ -1,8 +1,12 @@
 """Throughput, equivalent-slice, and efficiency metric arithmetic."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
+from comet.cnn_model import build_modified_lenet5, model_cycles
+from comet.gemm_core import GemmConfig, gemm_cycles
 from comet.metrics import (
     KL_PRODUCT,
     REFERENCE_DESIGNS,
@@ -61,6 +65,35 @@ def test_full_published_rows():
         assert row["eps"] == pytest.approx(exp["eps"], abs=1e-3), name
         assert row["aep"] == pytest.approx(exp["aep"], abs=1e-3), name
     assert KL_PRODUCT == 16
+
+
+def test_cycle_model_reaches_the_published_throughput():
+    """On a layer with no tail at k_hw 16, L 1, the cycle model retires
+    K*L/B MACs per cycle at the design's serial width B: the published
+    peak, which `t_mac_gops` quotes."""
+    n, m, patch_len = 3, 7, 2 * 16
+    for name, d in REFERENCE_DESIGNS.items():
+        b1, b2 = d["bitwidths"]
+        cfg = GemmConfig(k_hw=16, l=1, scheme="A" if d["b"] == b1 else "B",
+                         arch=name.split("_")[0], b1=b1, b2=b2)
+        assert cfg.serial_bits == d["b"], name
+        f = d["f_mhz"] * 1e6
+        t = n * m * patch_len / gemm_cycles(n, m, patch_len, cfg) * f
+        assert t == pytest.approx(throughput_mac(16, 1, d["b"], f)), name
+        assert t == pytest.approx(d["t_mac_gops"] * 1e9), name
+
+
+@pytest.mark.parametrize("l, use", [(1, 0.888), (10, 0.623)])
+def test_lenet_use_of_the_peak(l, use):
+    """LeNet-5m at (8, 8), Scheme A, k_hw 16: its 479,536 MACs over
+    model_cycles x K*L/B; tile tails, and at L 10 idle lanes, lose the
+    rest of the peak."""
+    model = build_modified_lenet5(8, 8)
+    macs = sum(math.prod(lay.out_shape) * lay.patch_len
+               for lay in model.layers if lay.kind != "gap")
+    assert macs == 479_536
+    peak = model_cycles(model, GemmConfig(k_hw=16, l=l)) * 16 * l / 8
+    assert macs / peak == pytest.approx(use, abs=5e-4)
 
 
 @given(st.floats(1e5, 1e9), st.integers(1, 10 ** 5), st.integers(1, 64),
