@@ -258,10 +258,8 @@ def conv_direct(x: np.ndarray, w: np.ndarray, bias: np.ndarray,
     `as_int64`; an input other than (C, H, W), weights other than
     (N, C, kh, kw) or biases other than (N,) raise ValueError.
     """
-    x, w, bias = (as_int64(a, what) for a, what in
-                  ((x, "inputs"), (w, "weights"), (bias, "biases")))
-    if x.shape != (cfg.c, cfg.h, cfg.w):
-        raise ValueError(f"input shape {x.shape} != {(cfg.c, cfg.h, cfg.w)}")
+    x = cfg.check_input(x)
+    w, bias = as_int64(w, "weights"), as_int64(bias, "biases")
     if w.shape != (cfg.n, cfg.c, cfg.kh, cfg.kw) or bias.shape != (cfg.n,):
         raise ValueError(f"weights must be {(cfg.n, cfg.c, cfg.kh, cfg.kw)} "
                          f"and biases {(cfg.n,)}")

@@ -81,9 +81,6 @@ class FxpFormat:
     def max_value(self) -> int:
         return (1 << (self.bits - 1)) - 1
 
-    def contains(self, value: int) -> bool:
-        return self.min_value <= value <= self.max_value
-
     def check_ints(self, values, what: str) -> list[int]:
         """`values` through `as_ints`; ValueError naming the first value
         outside the format."""
@@ -104,4 +101,11 @@ class FxpFormat:
 
 # one shared format per width for the per-call checks; `typed`, so 8.0
 # never hits the entry of an equal np.int64(8)
-cached_format = lru_cache(maxsize=64, typed=True)(FxpFormat)
+_formats = lru_cache(maxsize=64, typed=True)(FxpFormat)
+
+
+def cached_format(bits) -> FxpFormat:
+    try:
+        return _formats(bits)
+    except TypeError:           # unhashable: FxpFormat raises ValueError
+        return FxpFormat(bits)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .fxp import FxpFormat, as_int, as_int64, cached_format
 from .im2col_addr import LayerConfigWord
-from .lut_arch import HYBRID, layout
+from .lut_arch import HYBRID, KINDS, layout
 from .obc_ipc import Scheme, merged_offset
 # unused here: bench/tracing.py patches these names on this module
 from .obc_ipc import IpcProblem, ipc_obc  # noqa: F401
@@ -54,7 +54,8 @@ class GemmConfig:
             object.__setattr__(self, name, value)
         if self.k_hw < 1 or self.l < 1:
             raise ValueError("k_hw and l must be positive")
-        layout(self.arch, self.k_hw)    # rejects an unknown technique
+        if self.arch not in KINDS:  # unhashable too, unlike a cache lookup
+            raise ValueError(f"unknown LUT kind {self.arch!r}")
 
     @property
     def serial_bits(self) -> int:
@@ -120,9 +121,7 @@ def im2col(x: np.ndarray, cfg: LayerConfigWord) -> np.ndarray:
     One gather through the layer's cached address map, the pad taps reading
     a zero appended to x; the result is C-contiguous, patch-major.
     """
-    x = as_int64(x, "inputs")
-    if x.shape != (cfg.c, cfg.h, cfg.w):
-        raise ValueError(f"input shape {x.shape} != {(cfg.c, cfg.h, cfg.w)}")
+    x = cfg.check_input(x)
     return np.concatenate((x.reshape(-1), _ZERO))[_im2col_map(cfg)]
 
 
@@ -139,6 +138,8 @@ def gemm_oracle(theta: np.ndarray, xcols: np.ndarray,
 
 def gemm_cycles(n: int, m: int, patch_len: int, cfg: GemmConfig) -> int:
     """Closed-form cycle count: M * tiles * B_serial * ceil(N / L)."""
+    n, m = as_int(n, "n"), as_int(m, "m")
+    patch_len = as_int(patch_len, "patch_len")
     if min(n, m, patch_len) < 0:
         raise ValueError(f"GEMM shape {(n, m, patch_len)} has a negative size")
     tiles = -(-patch_len // cfg.k_hw)

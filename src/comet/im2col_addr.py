@@ -64,6 +64,14 @@ class LayerConfigWord:
     def tiles(self, k_hw: int) -> int:
         return -(-self.patch_len // k_hw)
 
+    def check_input(self, x) -> np.ndarray:
+        """`x` through `as_int64`; ValueError unless it is (c, h, w)."""
+        x = as_int64(x, "inputs")
+        if x.shape != (self.c, self.h, self.w):
+            raise ValueError(
+                f"input shape {x.shape} != {(self.c, self.h, self.w)}")
+        return x
+
 
 @dataclass(frozen=True)
 class GroupCtx:
@@ -227,11 +235,14 @@ def gather_stream(cfg: LayerConfigWord, x, k_hw: int):
 
     Returns (stream, cycles).  `stream` is an int64 array of shape
     (n, h_out * w_out, tiles * k_hw) in read order: the value of `x`
-    (C, H, W) at each read_x address, 0 for each read_x_pad (spatial
+    (c, h, w) at each read_x address, 0 for each read_x_pad (spatial
     padding or tile tail).  `cycles` lists the (cycle, events) pairs of
     `run_layer`.
     """
-    flat = as_int64(x, "inputs").reshape(-1)
+    flat = cfg.check_input(x).reshape(-1)
+    k_hw = as_int(k_hw, "k_hw")
+    if k_hw < 1:
+        raise ValueError(f"k_hw must be positive, got {k_hw}")
     cycles = list(run_layer(cfg, k_hw))
     stream = [flat[ev.addr] if ev.kind == "read_x" else 0
               for _, events in cycles for ev in events

@@ -25,6 +25,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
+from .fxp import as_int
+
 PARALLEL = "parallel"
 SHARED = "shared"
 SPLIT = "split"
@@ -46,6 +48,8 @@ class LutArch:
     q: int
 
     def __post_init__(self):
+        for name in ("k", "p", "q"):    # frozen: past the dataclass guard
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
         if self.p < 1 or self.q < 1 or self.p * self.q != self.k:
             raise FactorizationError(
                 f"K={self.k} does not factor as p*q with p={self.p}, q={self.q}"
@@ -194,14 +198,9 @@ class PreparedLut:
         return [t[:1 << (w - m)]
                 for (_, w, m), (*_, t) in zip(self._layout.fields, self._full)]
 
-    def _address(self, address: int) -> int:
-        if not 0 <= address < self._size:
-            raise ValueError(f"address {address} outside [0, 2^{self.k})")
-        return address << self._pad
-
     def value(self, address: int) -> int:
         if not 0 <= address < self._size:
-            self._address(address)          # raises the range error
+            raise ValueError(f"address {address} outside [0, 2^{self.k})")
         a = address << self._pad
         total = 0
         for shift, mask, full in self._full:
@@ -210,9 +209,10 @@ class PreparedLut:
 
     def eval(self, address: int, record: bool = False):
         """(value, StructTrace or None); the trace names each node read."""
+        value = self.value(address)     # checks the address
         if not record:
-            return self.value(address), None
-        a = self._address(address)
+            return value, None
+        a = address << self._pad
         tables = [t for *_, t in self._full]
         reads = []   # per field: (field value, stored index, signed entry)
         for (shift, mask, t), (_, w, m) in zip(self._full, self._layout.fields):
@@ -278,6 +278,8 @@ def lut_cost(arch: LutArch) -> LutCost:
             cpd_muxes=0,
         )
     if arch.kind == SHARED:
+        if q < 2:       # the printed forms count nothing below a 2-bit group
+            raise FactorizationError(f"shared LUT cost needs q >= 2, got q={q}")
         return LutCost(
             adders=(2 ** (q - 2) + q - 2) * p + p - 1,
             muxes_2to1=2 ** (q - 2) * p,

@@ -18,10 +18,13 @@ def is_number(value) -> bool:
             and math.isfinite(value))
 
 
-def _check_numbers(what: str, *values) -> None:
-    """ValueError unless every value `is_number`."""
-    if not all(map(is_number, values)):
-        raise ValueError(f"{what} must be finite numbers, got {values}")
+def _require(what: str, nonnegative=(), positive=()) -> None:
+    """ValueError unless every value `is_number`, each of `nonnegative`
+    is >= 0 and each of `positive` is > 0; `what` states that rule."""
+    values = (*nonnegative, *positive)
+    if not (all(map(is_number, values)) and all(v >= 0 for v in nonnegative)
+            and all(v > 0 for v in positive)):
+        raise ValueError(f"need finite numbers with {what}, got {values}")
 
 
 @dataclass(frozen=True)
@@ -33,13 +36,10 @@ class ResourceReport:
     power_w: float | None = None
 
     def __post_init__(self):
-        counts = (self.luts, self.ffs, self.dsps, self.brams)
-        _check_numbers("resource counts", *counts)
-        if min(counts) < 0:
-            raise ValueError("resource counts must be nonnegative")
-        if self.power_w is not None and not (is_number(self.power_w)
-                                             and self.power_w >= 0):
-            raise ValueError("power must be a nonnegative finite number")
+        _require("resource counts >= 0",
+                 (self.luts, self.ffs, self.dsps, self.brams))
+        if self.power_w is not None:
+            _require("power >= 0", (self.power_w,))
 
 
 def throughput_mac(k: int, l: int, b: int, f_clk: float) -> float:
@@ -49,9 +49,7 @@ def throughput_mac(k: int, l: int, b: int, f_clk: float) -> float:
     sample rate is f_clk/B and each sample retires K*L MACs.
     """
     k, l, b = as_int(k, "k"), as_int(l, "l"), as_int(b, "b")
-    _check_numbers("f_clk", f_clk)
-    if min(k, l, b) < 1 or f_clk <= 0:
-        raise ValueError("k, l, b, f_clk must be positive")
+    _require("k, l, b and f_clk > 0", positive=(k, l, b, f_clk))
     return (k * l / b) * f_clk
 
 
@@ -68,20 +66,14 @@ def ens_rounded(r: ResourceReport) -> int:
 
 def eps(power_w: float, t_mac_gops: float) -> float:
     """Energy per sample in W per GOP/s."""
-    values = (power_w, t_mac_gops)
-    if not (all(map(is_number, values)) and power_w >= 0 and t_mac_gops > 0):
-        raise ValueError("power and throughput must be finite numbers, "
-                         f"power >= 0 and throughput > 0, got {values}")
+    _require("power >= 0 and throughput > 0", (power_w,), (t_mac_gops,))
     return power_w / t_mac_gops
 
 
 def aep(t_mac_ops: float, f_clk: float, ens_slices: float) -> float:
     """Architectural efficiency per ENS, in ops/cycle/kENS."""
-    values = (t_mac_ops, f_clk, ens_slices)
-    if not (all(map(is_number, values))
-            and t_mac_ops >= 0 and f_clk > 0 and ens_slices > 0):
-        raise ValueError("throughput, f_clk and ENS must be finite numbers, "
-                         f"throughput >= 0 and the others > 0, got {values}")
+    _require("throughput >= 0 and f_clk, ENS > 0", (t_mac_ops,),
+             (f_clk, ens_slices))
     return t_mac_ops / (f_clk * ens_slices / 1000)
 
 
@@ -115,8 +107,7 @@ def reference_table() -> dict[str, dict]:
     """Recompute the derived columns of the comparison table."""
     out = {}
     for name, d in REFERENCE_DESIGNS.items():
-        r = ResourceReport(luts=d["luts"], ffs=d["ffs"], dsps=0, brams=0,
-                           power_w=d["power_w"])
+        r = ResourceReport(luts=d["luts"], ffs=d["ffs"], power_w=d["power_w"])
         f = d["f_mhz"] * 1e6
         t = throughput_mac(KL_PRODUCT, 1, d["b"], f)
         e = ens_rounded(r)

@@ -25,11 +25,12 @@ NAIVE_K_LIMIT = 24
 class Scheme(Enum):
     A = "A"
     B = "B"
+    __hash__ = object.__hash__  # in C, not Python; members are singletons
 
 
 @dataclass(frozen=True)
 class IpcProblem:
-    """One K-length inner product with its serialization scheme.
+    """One K-length inner product, arranged by its serialization scheme.
 
     `coeffs` feed the LUT (weights under Scheme A, inputs under Scheme B);
     `serial_operands` are bit-sliced over `serial_bits` cycles.  Both must
@@ -40,7 +41,6 @@ class IpcProblem:
     coeffs: tuple[int, ...]
     serial_operands: tuple[int, ...]
     bias: int
-    scheme: Scheme
     coeff_fmt: FxpFormat
     serial_fmt: FxpFormat
 
@@ -59,12 +59,10 @@ class IpcProblem:
     def from_vectors(cls, weights, inputs, bias, scheme, fmt_in: FxpFormat,
                      fmt_wt: FxpFormat) -> "IpcProblem":
         """Arrange a (weights, inputs) pair according to the scheme."""
-        scheme = Scheme(scheme)
-        if scheme is Scheme.A:
-            return cls(weights, inputs, bias, scheme,
-                       coeff_fmt=fmt_wt, serial_fmt=fmt_in)
-        return cls(inputs, weights, bias, scheme,
-                   coeff_fmt=fmt_in, serial_fmt=fmt_wt)
+        if Scheme(scheme) is Scheme.A:
+            return cls(weights, inputs, bias, coeff_fmt=fmt_wt,
+                       serial_fmt=fmt_in)
+        return cls(inputs, weights, bias, coeff_fmt=fmt_in, serial_fmt=fmt_wt)
 
     @property
     def serial_bits(self) -> int:
@@ -146,13 +144,11 @@ def sa_run(lut, serial_operands, serial_bits: int, init: int,
     outs = list(map(lut, addrs))
     steps = list(map(lshift, outs, range(serial_bits)))
     steps[-1] = -steps[-1]
+    acc = init + sum(steps)
     trace = None
     if record:
-        accs = list(accumulate(steps, initial=init))[1:]
-        acc = accs[-1]
-        trace = {"address": addrs, "lut_output": outs, "accumulator": accs}
-    else:
-        acc = init + sum(steps)
+        trace = {"address": addrs, "lut_output": outs,
+                 "accumulator": list(accumulate(steps, initial=init))[1:]}
     assert acc % 2 == 0, "doubled-domain accumulator must be even"
     return acc >> 1, trace
 

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fxp import FxpFormat, as_int, as_int64
+from .fxp import FxpFormat, as_int, as_int64, as_ints
 
 MAGIC = b"CBT1"
 VERSION = 1
@@ -123,11 +123,14 @@ class SplitMix64:
 
     def fill(self, shape, bits: int) -> np.ndarray:
         """`next_int(bits)` drawn prod(shape) times, as an int64 array of
-        `shape`; bits in [1, 64].  Computed in uint64, which wraps mod
-        2**64 as the masks of `next_int` do."""
+        `shape`; bits in [1, 64] and dims nonnegative integers (`as_ints`).
+        Computed in uint64, which wraps mod 2**64 as the masks of `next_int`
+        do."""
         bits = as_int(bits, "bits")
-        if not 1 <= bits <= 64:
-            raise ValueError(f"bits must be in [1, 64], got {bits}")
+        shape = as_ints(np.atleast_1d(shape), "dimension")   # 5 is (5,)
+        if not 1 <= bits <= 64 or min(shape, default=0) < 0:
+            raise ValueError(f"need bits in [1, 64] and dims >= 0, got "
+                             f"{bits} bits and shape {shape}")
         n = int(np.prod(shape, dtype=np.int64))
         steps = np.arange(1, n + 1, dtype=np.uint64)
         z = np.uint64(self.state) + np.uint64(_GAMMA) * steps
@@ -150,27 +153,15 @@ class LayerWeights:
     shift: int
 
 
-@dataclass
-class WeightBundle:
-    """Per-layer weights keyed by layer index; gap layers are absent."""
-
-    layers: dict[int, LayerWeights]
-
-    def __getitem__(self, idx: int) -> LayerWeights:
-        return self.layers[idx]
-
-    def __contains__(self, idx: int) -> bool:
-        return idx in self.layers
-
-    def __iter__(self):
-        return iter(self.layers)
+class WeightBundle(dict):
+    """Per-layer `LayerWeights` keyed by layer index; gap layers are absent."""
 
     def digest(self) -> str:
         """SHA-256 over the canonical little-endian serialization, every
         value as i32; ValueError for a value that is not an i32 integer."""
         h = hashlib.sha256()
-        for idx in sorted(self.layers):
-            lw = self.layers[idx]
+        for idx in sorted(self):
+            lw = self[idx]
             for arr in (lw.weight, lw.bias):
                 arr = FxpFormat(32).check(arr, "bundle values")
                 h.update(struct.pack("<B", len(arr.shape)))
@@ -204,8 +195,8 @@ def save_weight_bundle(bundle: WeightBundle, model, directory) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     manifest = {"model": model.manifest(), "layers": {}}
-    for idx in sorted(bundle.layers):
-        lw = bundle.layers[idx]
+    for idx in sorted(bundle):
+        lw = bundle[idx]
         wf, bf = f"layer{idx}.weight.cbt", f"layer{idx}.bias.cbt"
         write_cbt(lw.weight, directory / wf)
         write_cbt(lw.bias, directory / bf)

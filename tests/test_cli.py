@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from comet import im2col_addr
+from comet import cli, im2col_addr
 from comet.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, main
 from comet.cnn_model import build_modified_lenet5
 from comet.tensor_io import gen_weights, save_weight_bundle, write_cbt
@@ -45,6 +45,20 @@ def test_lut_cost_all_archs_multi_k(capsys):
     assert out.count("\n") == 9  # header + 4 archs x 2 widths
 
 
+def test_lut_cost_rejects_shared_below_q2(capsys):
+    """Its printed closed form counts nothing at q = 1: it printed
+    adders -0.5 and muxes_2to1 0.5 and exited 0."""
+    code, out, err = run(capsys, "lut-cost", "--arch", "shared", "--k", "1")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "q >= 2" in err
+
+
+def test_verify_has_no_fault_injection_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--inject-fault"])
+    assert exc.value.code == EXIT_USAGE
+
+
 def test_lut_cost_bad_factorization(capsys):
     code, _, err = run(capsys, "lut-cost", "--arch", "split", "--k", "9",
                        "--q", "3")
@@ -74,9 +88,16 @@ def test_verify_all_configs(capsys, arch, scheme):
     assert json.loads(out)["mismatches"] == 0
 
 
-def test_verify_detects_injected_fault(capsys):
-    code, out, _ = run(capsys, "verify", "--trials", "100", "--seed", "1",
-                       "--inject-fault")
+def test_verify_detects_injected_fault(capsys, monkeypatch):
+    """A datapath that is off by one at trial 50 fails the sweep there."""
+    trials, real = iter(range(100)), cli.ipc_obc
+
+    def faulty(problem, arch, record):
+        got, trace = real(problem, arch, record=record)
+        return got + (next(trials) == 50), trace
+
+    monkeypatch.setattr(cli, "ipc_obc", faulty)
+    code, out, _ = run(capsys, "verify", "--trials", "100", "--seed", "1")
     assert code == EXIT_VERIFY_FAIL
     report = json.loads(out)
     assert report["mismatches"] == 1

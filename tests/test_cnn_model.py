@@ -202,7 +202,7 @@ def test_delta_kernel_identity_first_layer():
 def test_zero_weights_give_zero_logits():
     model = build_modified_lenet5()
     layers = {}
-    for i, lw in _delta_bundle(model).layers.items():
+    for i, lw in _delta_bundle(model).items():
         layers[i] = LayerWeights(np.zeros_like(lw.weight),
                                  np.zeros_like(lw.bias), 0)
     res = infer(model, WeightBundle(layers), gen_input(0, (1, 32, 32), 8), CFG)
@@ -422,7 +422,7 @@ def test_infer_validates_weights_and_input():
     w = gen_weights(0, model, 8)
     bad = {i: LayerWeights(lw.weight[:, :1], lw.bias, lw.shift)
            if lw.weight.ndim == 2 else lw
-           for i, lw in w.layers.items()}
+           for i, lw in w.items()}
     for run in (lambda *args: infer(*args, CFG), infer_oracle):
         with pytest.raises(ValueError):
             run(model, w, np.full((1, 32, 32), 300))
@@ -449,7 +449,7 @@ def test_infer_rejects_non_integer_input_and_weights():
     w = gen_weights(0, model, 8)
     x = gen_input(0, (1, 32, 32), 8)
     halved = WeightBundle({i: LayerWeights(lw.weight / 2, lw.bias, lw.shift)
-                           for i, lw in w.layers.items()})
+                           for i, lw in w.items()})
     for run in (lambda *args: infer(*args, CFG), infer_oracle):
         with pytest.raises(ValueError, match="int64 integers"):
             run(model, w, x + 0.4)
@@ -466,7 +466,7 @@ def test_infer_rejects_missing_layer(missing):
     not a KeyError."""
     model = build_modified_lenet5()
     w = gen_weights(0, model, 8)
-    del w.layers[missing]
+    del w[missing]
     for run in (lambda *args: infer(*args, CFG), infer_oracle):
         with pytest.raises(ValueError, match=f"layer {missing} has no weights"):
             run(model, w, gen_input(0, (1, 32, 32), 8))
@@ -478,7 +478,7 @@ def test_infer_rejects_weights_for_no_gemm_layer(extra):
     key that is not an index are never read: reject them."""
     model = build_modified_lenet5()
     w = gen_weights(0, model, 8)
-    w.layers[extra] = w.layers[0]
+    w[extra] = w[0]
     for run in (lambda *args: infer(*args, CFG), infer_oracle):
         with pytest.raises(ValueError, match="no conv or dense layer"):
             run(model, w, gen_input(0, (1, 32, 32), 8))

@@ -301,3 +301,6 @@ def test_prepared_lut_validation():
     lut = PreparedLut(PARALLEL, [1, 2])
     with pytest.raises(ValueError):
         lut.value(4)                             # address out of range
+    for record in (False, True):                 # eval checks it through value
+        with pytest.raises(ValueError, match="outside"):
+            lut.eval(-1, record=record)

@@ -85,7 +85,7 @@ def test_sa_run_exhaustive_k2_b4():
         res, _ = sa_run(lut, [x0, x1], 4, merged_offset(coeffs, 0),
                         record=False)
         assert res == 5 * x0 - 3 * x1
-    assert fmt.contains(x0)
+    assert fmt.min_value <= x0 <= fmt.max_value
 
 
 def test_sa_run_rejects_overwide_operand():
@@ -199,6 +199,17 @@ def test_ipc_problem_scheme_arrangement():
     b = IpcProblem.from_vectors([1, 2], [3, 4], 7, Scheme.B, fi, fw)
     assert b.coeffs == (3, 4) and b.serial_operands == (1, 2)
     assert b.serial_bits == 4
+    # the scheme only arranges the operands: "B" is Scheme B, "C" no scheme
+    assert IpcProblem.from_vectors([1, 2], [3, 4], 7, "B", fi, fw) == b
+    with pytest.raises(ValueError):
+        IpcProblem.from_vectors([1, 2], [3, 4], 7, "C", fi, fw)
+
+
+def test_scheme_hashes_by_identity():
+    """Memo keys hash a Scheme on every GEMM call; Enum's own __hash__
+    runs in Python, object's in C, and identity matches Enum equality."""
+    assert Scheme.__hash__ is object.__hash__
+    assert {Scheme.A: 1, Scheme("B"): 2}[Scheme("A")] == 1
 
 
 def test_ipc_obc_small_example():

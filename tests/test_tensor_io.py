@@ -209,7 +209,7 @@ def test_digest_sensitive_to_content():
     a = gen_weights(42, model, 8)
     b = gen_weights(43, model, 8)
     assert a.digest() != b.digest()
-    a.layers[0].weight[0, 0, 0, 0] += 1
+    a[0].weight[0, 0, 0, 0] += 1
     assert a.digest() != gen_weights(42, model, 8).digest()
 
 
