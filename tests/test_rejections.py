@@ -36,28 +36,22 @@ def _gemm_config(field):
     return lambda v: GemmConfig(**{field: v})
 
 
-def _lut_arch(i):
-    def call(v):
-        args = ["parallel", 4, 1, 4]
-        args[i] = v
-        return lut_cost(LutArch(*args))
-    return call
-
-
-def _operands(i):
-    def call(v):
-        args = [THETA, COLS, BIAS, 8, 8]
-        args[i] = v
-        return check_operands(*args)
-    return call
-
-
 def _positional(fn, good_args, i):
+    """`fn` on `good_args` with argument `i` replaced by the value."""
     def call(v):
         args = list(good_args)
         args[i] = v
         return fn(*args)
     return call
+
+
+def _lut_arch(i):
+    return _positional(lambda *a: lut_cost(LutArch(*a)),
+                       ("parallel", 4, 1, 4), i)
+
+
+def _operands(i):
+    return _positional(check_operands, (THETA, COLS, BIAS, 8, 8), i)
 
 
 # name: (call of one value, an accepted value, bad values); no dim or
