@@ -31,16 +31,21 @@ def as_int(value, what: str) -> int:
 
 def as_ints(values, what: str) -> list[int]:
     """`as_int` of every value, as a list; the error names the first that
-    is not an integer.  It takes a bool as 0 or 1: a check per value would
-    slow acceptance criterion 1, whose 320,000 trials each call it 5 times."""
+    is not an integer, or `values` when it is not iterable.  It takes a
+    bool as 0 or 1: a check per value would slow acceptance criterion 1,
+    whose 320,000 trials each call it 5 times."""
     try:
         # a list: tuple() of a map resizes its result, and every resized
         # tuple freed then waits in the interpreter's tuple free list
         return [*map(operator.index, values)]
     except TypeError:
         pass
-    for v in values:
-        as_int(v, what)
+    try:
+        for v in values:
+            as_int(v, what)     # raises ValueError, never TypeError
+    except TypeError:
+        raise ValueError(f"{what} values {values!r} are not iterable") \
+            from None
     raise ValueError(f"{what} values are not all integers")
 
 

@@ -3,17 +3,19 @@
 Matrix products are computed tile-by-tile through the offset-binary
 shift-accumulate datapath and must equal the direct integer GEMM oracle
 bit-exactly.  One vectorized kernel serves both schemes (Scheme B swaps
-the coefficient and serial operands and transposes the result).  It is
-operand-major: R operands (activations or weight rows) are tiled as
-(tiles, kq, R), straight into the dtype of the half they feed, and each
-half gives (tiles * halves, R) arrays.  The coefficient half holds the
-lower half of every tile's field tables (`comet.lut_arch.Layout.tables`;
-the entry at ~v is minus the one at v); the serial half counts the table
-reads of all bit-slices at once, with one bit mask per field value, and
-folds them onto the lower half, count(v) - count(~v); one exact product
-of the two (float64 while its sums stay within 2^53, int64 past that)
-sums the reads, transposing neither, into accumulators started at the
-merged offset.
+which half the weights and the inputs feed).  It is operand-major: R
+operands (activations or weight rows) are tiled as (kq, tiles, R),
+straight into the dtype of the half they feed, and each half gives a
+(halves * tiles, R) array, row v * tiles + t for half-table entry v of
+tile t.  The coefficient half holds the lower half of every tile's field
+tables (`comet.lut_arch.Layout.tables`; the entry at ~v is minus the one
+at v), all tiles in one product with a half sign matrix; the serial half
+counts the table reads of all bit-slices at once, with one bit mask per
+field value, and folds them onto the lower half, count(v) - count(~v).
+One exact product (float64 while its sums stay within 2^53, int64 past
+that), the weights' half transposed times the inputs' half, sums the
+reads into (N, M) accumulators in both schemes, started at the merged
+offset.
 The weights' half and start are prepared once per weight set.  With
 `record` set, the kernel also returns the per-slice trace that
 :func:`comet.obc_ipc.ipc_obc` gives for one tile, for every tile at once.
@@ -147,12 +149,13 @@ def gemm_cycles(n: int, m: int, patch_len: int, cfg: GemmConfig) -> int:
 
 
 def _tiled(cols: np.ndarray, k_hw: int, out: np.ndarray) -> np.ndarray:
-    """(patch_len, R) written tile by tile into the zeroed (tiles, width, R)
+    """(patch_len, R) written tile by tile into the zeroed (width, tiles, R)
     `out`, in its dtype, zeros after the values; returns `out`."""
     (n, r), full = cols.shape, cols.shape[0] // k_hw
-    out[:full, :k_hw] = cols[:full * k_hw].reshape(full, k_hw, r)
+    out[:k_hw, :full] = cols[:full * k_hw].reshape(full, k_hw, r) \
+        .transpose(1, 0, 2)
     if n > full * k_hw:         # the tail: the last tile's first values
-        out[full, :n - full * k_hw] = cols[full * k_hw:]
+        out[:n - full * k_hw, full] = cols[full * k_hw:]
     return out
 
 
@@ -171,10 +174,11 @@ def gemm_obc(theta: np.ndarray, xcols: np.ndarray, bias: np.ndarray,
 
     Operands pass both halves of `check_operands` (formats, shapes and
     int64 headroom); one table kernel serves both schemes, Scheme B
-    swapping the operands.  The weight side (the checked weights, their
-    half of the kernel and their term of the start value) comes from
-    `_weight_side`, keyed by content, so a weight set is prepared once
-    however many images go through it.
+    swapping which half each operand feeds.  The weight side (the checked
+    weights, their half of the kernel and their term of the start value)
+    comes from `_weight_side`, keyed by content, so a weight set is
+    prepared once however many images go through it.  Y is a fresh
+    C-contiguous int64 (N, M) array in both schemes.
     """
     theta, bias, half, start = _weight_side(
         _content(theta, "weights"), _content(bias, "biases"), cfg.scheme,
@@ -191,11 +195,8 @@ def gemm_obc(theta: np.ndarray, xcols: np.ndarray, bias: np.ndarray,
         y2, trace = _product(half, serial, (start,), k_hw)
     else:
         coef = _coef_half(xcols, cfg.k_hw, cfg.arch, cfg.b1)
-        y2, trace = _product(coef, half,
-                             (-np.add.reduce(coef.sums)[:, None], start), k_hw)
-        y2 = y2.T
-        if record:
-            trace = {k: v.transpose(1, 0, 2, 3) for k, v in trace.items()}
+        y2, trace = _product(half, coef, (start, -np.add.reduce(xcols)),
+                             k_hw)
     assert not np.bitwise_or.reduce(y2, axis=None) & 1, \
         "doubled-domain result must be even"
     if record:                  # a zero-length patch has no last tile
@@ -219,8 +220,8 @@ def _weight_side(theta, bias, scheme, arch, k_hw, b2):
     """(theta, bias, half, start) for the `_content` keys of the weights and
     biases: both through `_checked_weights`, the weights' half of
     `_product` (the coefficient half in Scheme A, the serial half in
-    Scheme B), and their term of its start value: Scheme A's merged offset
-    per row, an (N, 1) column, or Scheme B's doubled bias, an (N,) row.
+    Scheme B), and their term of its start value, an (N, 1) column:
+    Scheme A's merged offset per row, or Scheme B's doubled bias.
     Every array is read-only: callers share them."""
     theta, bias = _checked_weights(*(np.frombuffer(data, dtype).reshape(shape)
                                      for dtype, shape, data in (theta, bias)),
@@ -229,7 +230,7 @@ def _weight_side(theta, bias, scheme, arch, k_hw, b2):
         half = _coef_half(theta.T, k_hw, arch, b2)
         start = merged_offset(theta.T, bias)[:, None]
     else:
-        half, start = _serial_half(theta.T, k_hw, arch, b2), 2 * bias
+        half, start = _serial_half(theta.T, k_hw, arch, b2), 2 * bias[:, None]
     for a in (theta, bias, *half[:-1], start):
         a.flags.writeable = False
     return theta, bias, half, start
@@ -260,17 +261,22 @@ def _kernel(arch, k_hw):
 class _CoefHalf(NamedTuple):
     """The coefficient side of `_product`, from (patch_len, P) operands."""
 
-    full: np.ndarray    # (tiles * halves, P) float64: lower half tables
-    sums: np.ndarray    # (tiles, P) int64: each tile's sum of coefficients
+    rows: np.ndarray    # (halves * tiles, P) float64: lower half tables
+    tiled: np.ndarray   # (kq, tiles, P) float64: the zero-padded operands
     bits: int           # the operands are at most this wide
+
+    @property
+    def sums(self) -> np.ndarray:
+        """(tiles, P) int64: each tile's sum of coefficients."""
+        return np.add.reduce(self.tiled).astype(np.int64)
 
 
 class _SerialHalf(NamedTuple):
     """The serial side of `_product`, from (patch_len, Q) operands."""
 
-    u: np.ndarray       # (tiles, kq, Q) unsigned b-bit patterns
-    masks: np.ndarray   # (tiles, 2 * halves, Q): bit s set where slice s reads
-    counts: np.ndarray  # (tiles * halves, Q) float64: folded read counts
+    rows: np.ndarray    # (halves * tiles, Q) float64: folded read counts
+    u: np.ndarray       # (kq, tiles, Q) unsigned b-bit patterns
+    masks: np.ndarray   # (2 * halves, tiles, Q): bit s set where slice s reads
     bits: int           # b: the operands are b-bit two's complement
 
 
@@ -278,15 +284,15 @@ def _coef_half(cols, k_hw, arch, bits) -> _CoefHalf:
     """Tile the operands into float64 (exact for them and each tile's sum;
     one cast when they fill every tile, as at kq == k_hw with no tail) and
     fill every tile's half tables (per field, the entries at values of
-    MSB 0) by one product with the layout's half sign matrix."""
+    MSB 0) by one product with the layout's half sign matrix: row
+    v * tiles + t holds half-table entry v of tile t."""
     kq, signs, _ = _kernel(arch, k_hw)
     tiles, n_coef = -(-len(cols) // k_hw), cols.shape[1]
-    coef = cols.reshape(tiles, kq, n_coef).astype(np.float64) \
-        if tiles * kq == len(cols) else \
-        _tiled(cols, k_hw, np.zeros((tiles, kq, n_coef), np.float64))
-    full = signs @ coef                             # (tiles, halves, P)
-    return _CoefHalf(full.reshape(tiles * full.shape[1], n_coef),
-                     np.add.reduce(coef, 1).astype(np.int64), bits)
+    coef = cols.reshape(tiles, kq, n_coef).transpose(1, 0, 2) \
+        .astype(np.float64, order="C") if tiles * kq == len(cols) else \
+        _tiled(cols, k_hw, np.zeros((kq, tiles, n_coef), np.float64))
+    rows = signs @ coef.reshape(kq, tiles * n_coef)     # (halves, tiles * P)
+    return _CoefHalf(rows.reshape(len(signs) * tiles, n_coef), coef, bits)
 
 
 def _serial_half(cols, k_hw, arch, b) -> _SerialHalf:
@@ -300,27 +306,31 @@ def _serial_half(cols, k_hw, arch, b) -> _SerialHalf:
     container is the b-bit two's-complement value's signed read count: the
     sum of +-2^s over its slices.  A table entry at ~v is minus the one
     at v, so the counts fold onto the lower half: count(v) - count(~v) in
-    a container twice as wide, then float64 (exact below 2^33)."""
+    a container twice as wide, then float64 (exact below 2^33), in the
+    row order of `_coef_half`."""
     kq, _, lit = _kernel(arch, k_hw)
     size = (1, 2, 4, 4)[(b - 1) // 8]
     tiles, n_serial = -(-len(cols) // k_hw), cols.shape[1]
-    lits = np.zeros((tiles, 2 * kq, n_serial), f"<u{size}")   # [~u, u]
-    u = _tiled(cols, k_hw, lits[:, kq:])        # two's complement wraps
-    np.invert(u, out=lits[:, :kq])
-    masks = np.bitwise_and.reduce(lits.take(lit, axis=1), axis=1)
+    lits = np.zeros((2 * kq, tiles, n_serial), f"<u{size}")   # [~u, u]
+    u = _tiled(cols, k_hw, lits[kq:])           # two's complement wraps
+    np.invert(u, out=lits[:kq])
+    masks = np.bitwise_and.reduce(lits.take(lit, axis=0), axis=0)
     signed, h = masks.view(f"<i{size}"), lit.shape[1] // 2
-    counts = np.subtract(signed[:, :h], signed[:, h:], dtype=f"<i{2 * size}")
-    return _SerialHalf(u, masks, counts.astype(np.float64)
-                       .reshape(tiles * h, n_serial), b)
+    counts = np.subtract(signed[:h], signed[h:], dtype=f"<i{2 * size}")
+    return _SerialHalf(counts.astype(np.float64).reshape(h * tiles, n_serial),
+                       u, masks, b)
 
 
-def _product(coef: _CoefHalf, serial: _SerialHalf, start, k_hw=None):
-    """Doubled accumulators (P, Q) started at the sum of the `start` arrays.
+def _product(weights, inputs, start, k_hw=None):
+    """Doubled accumulators (N, M), C-contiguous, started at the sum of
+    the `start` arrays: the weights' half (N operands) transposed times
+    the inputs' half (M operands), one a `_CoefHalf`, the other a
+    `_SerialHalf` with the same row order.
 
     One product of the half tables T with the folded read counts sums the
     reads (sum_v T[v] c[v] over the lower half of T[v] (c[v] - c[~v])),
     then the start goes in place: with -sum(coef) as the start, they are
-    the doubled products 2 * sum(coef[p] * serial[q]).
+    the doubled products 2 * sum(coef * serial).
 
     The float64 product is exact while the magnitudes bounding every
     partial sum stay within 2^53: a table entry sums at most 4
@@ -332,32 +342,36 @@ def _product(coef: _CoefHalf, serial: _SerialHalf, start, k_hw=None):
 
     Returns (products, trace).  The trace is None unless `k_hw` (the
     unpadded tile width, at most 63) is given; then it holds int64 arrays
-    of shape (P, Q, tiles, b), LSB slice first: each tile's k_hw-bit PISO
+    of shape (N, M, tiles, b), LSB slice first: each tile's k_hw-bit PISO
     `address`, the `lut_output` read from the half tables through the
     mask bits (the bit at v less the bit at ~v), and the `accumulator`
     after the slice, started at -sum(coef) of the tile.
     """
-    tiles, n_coef = coef.sums.shape
-    b, kq, h = serial.bits, serial.u.shape[1], serial.masks.shape[1] // 2
+    coef, serial = (weights, inputs) if isinstance(weights, _CoefHalf) \
+        else (inputs, weights)
+    _, tiles, n_coef = coef.tiled.shape
+    b, kq, h = serial.bits, serial.u.shape[0], serial.masks.shape[0] // 2
     if (tiles * kq << coef.bits - 1) * ((1 << b) - 1) <= 1 << 53:
-        y2 = (coef.full.T @ serial.counts).astype(np.int64)
+        y2 = (weights.rows.T @ inputs.rows).astype(np.int64)
     else:
-        y2 = coef.full.astype(np.int64).T @ serial.counts.astype(np.int64)
+        y2 = weights.rows.astype(np.int64).T @ inputs.rows.astype(np.int64)
     for s in start:
         y2 += s
     if k_hw is None:
         return y2, None
     # (Q, tiles, b, kq + 2 * h): the pattern bits, then the mask bits
-    bits = np.unpackbits(np.concatenate((serial.u, serial.masks), axis=1)
+    bits = np.unpackbits(np.concatenate((serial.u, serial.masks))
                          [..., None].view(np.uint8), axis=-1, count=b,
-                         bitorder="little").transpose(2, 0, 3, 1)
+                         bitorder="little").transpose(2, 1, 3, 0)
     address = bits[..., :k_hw] @ (1 << np.arange(k_hw - 1, -1, -1))
     reads = bits[..., kq:kq + h].astype(np.int8) - bits[..., kq + h:]
-    lut_output = np.einsum("tvp,qtsv->pqts", coef.full.astype(np.int64)
-                           .reshape(tiles, h, n_coef), reads)
+    lut_output = np.einsum("vtp,qtsv->pqts", coef.rows.astype(np.int64)
+                           .reshape(h, tiles, n_coef), reads)
     weight = np.append(1 << np.arange(b - 1), -(1 << (b - 1)))
     accumulator = np.cumsum(lut_output * weight, axis=-1) \
         - coef.sums.T[:, None, :, None]
-    return y2, {"address": np.broadcast_to(address,
-                                           (n_coef, *address.shape)),
-                "lut_output": lut_output, "accumulator": accumulator}
+    trace = {"address": np.broadcast_to(address, (n_coef, *address.shape)),
+             "lut_output": lut_output, "accumulator": accumulator}
+    if coef is inputs:          # (M, N, ...): the weights are serial
+        trace = {k: v.transpose(1, 0, 2, 3) for k, v in trace.items()}
+    return y2, trace

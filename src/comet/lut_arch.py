@@ -177,6 +177,8 @@ class PreparedLut:
     """
 
     def __init__(self, kind: str, coeffs: list[int], q: int | None = None):
+        if kind not in KINDS:   # unhashable too, unlike a `layout` lookup
+            raise ValueError(f"unknown LUT kind {kind!r}")
         self.kind = kind
         self.k = len(coeffs)
         if self.k < 1:
@@ -199,6 +201,10 @@ class PreparedLut:
                 for (_, w, m), (*_, t) in zip(self._layout.fields, self._full)]
 
     def value(self, address: int) -> int:
+        """The entry at `address`, an integer in [0, 2^K) (`fxp.as_int`;
+        a bool or 2.5 is not one); ValueError otherwise."""
+        if type(address) is not int:    # one test on the lookup path
+            address = as_int(address, "address")
         if not 0 <= address < self._size:
             raise ValueError(f"address {address} outside [0, 2^{self.k})")
         a = address << self._pad

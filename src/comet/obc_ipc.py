@@ -84,9 +84,10 @@ def build_naive_lut(coeffs) -> ObcLut:
     """Enumerate all 2**K offset-binary combinations of the coefficients.
 
     Entry at address b_1..b_K (b_1 most significant) is
-    sum_i coeffs[i] * (2*b_i - 1).
+    sum_i coeffs[i] * (2*b_i - 1).  The coefficients must be integers
+    (`fxp.as_ints`); ValueError otherwise.
     """
-    coeffs = list(coeffs)
+    coeffs = as_ints(coeffs, "coefficient")
     k = len(coeffs)
     if k > NAIVE_K_LIMIT:
         raise ValueError(f"K={k} exceeds naive-table bound {NAIVE_K_LIMIT}")

@@ -220,6 +220,38 @@ def test_gemm_of_any_memory_layout(scheme, layout, n, m):
         assert all((a == b).all() for a, b in zip(operands, before))
 
 
+@pytest.mark.parametrize("scheme", [Scheme.A, Scheme.B])
+def test_gemm_returns_a_c_contiguous_int64_n_by_m(scheme):
+    """Both schemes give the product in one orientation, (N, M), and the
+    result is a fresh C-contiguous int64 array, with and without a trace."""
+    theta, x, bias = _rand((3, 21), 8, seed=37), _rand((21, 5), 8, seed=38), \
+        _rand((3,), 8, seed=39)
+    cfg = GemmConfig(k_hw=8, l=1, scheme=scheme, arch="hybrid")
+    for record in (False, True):
+        y, _, _ = gemm_obc(theta, x, bias, cfg, record=record)
+        assert y.shape == (3, 5) and y.dtype == np.int64
+        assert y.flags.c_contiguous and y.flags.owndata
+
+
+@pytest.mark.parametrize("k_hw", [3, 4, 8])
+@pytest.mark.parametrize("kind", ARCHS)
+def test_coef_rows_are_every_tiles_half_tables(kind, k_hw):
+    """Row v * tiles + t of the coefficient half is half-table entry v of
+    tile t: the half sign matrix times that tile's zero-padded operands."""
+    cols = _rand((2 * k_hw + 1, 4), 8, seed=41 + k_hw)
+    kq, signs, _ = _kernel(kind, k_hw)
+    got = _coef_half(cols, k_hw, kind, 8)
+    tiles = 3
+    padded = np.zeros((tiles, kq, 4), np.int64)
+    for t in range(tiles):
+        tile = cols[t * k_hw:(t + 1) * k_hw]
+        padded[t, :len(tile)] = tile
+    assert got.rows.shape == (len(signs) * tiles, 4)
+    for t in range(tiles):
+        assert (got.rows[t::tiles] == signs @ padded[t]).all(), t
+    assert (got.sums == padded.sum(axis=1)).all()
+
+
 def test_weights_outside_b2_raise_on_every_call():
     cfg = GemmConfig(k_hw=4, l=1)
     for _ in range(2):
@@ -556,9 +588,13 @@ def test_product_in_int64_at_46_bit_coefficients(kind):
     # (patch_len, operands), 4-wide tiles: one coefficient and one serial
     coef_half = _coef_half(coef[:, None], 4, kind, bits)
     serial_half = _serial_half(serial[:, None], 4, kind, b)
-    y2, _ = _product(coef_half, serial_half,
-                     (-coef_half.sums.sum(axis=0)[:, None],))
-    assert y2.tolist() == [[2 * sum(map(int, coef * serial))]]
+    start = -coef_half.sums.sum(axis=0)
+    # either half as the weights': the coefficients' start as a column, or
+    # as a row
+    for *halves, s in ((coef_half, serial_half, start[:, None]),
+                       (serial_half, coef_half, start)):
+        y2, _ = _product(*halves, (s,))
+        assert y2.tolist() == [[2 * sum(map(int, coef * serial))]]
 
 
 @pytest.mark.parametrize("kind", ARCHS)
@@ -574,15 +610,19 @@ def test_product_wraps_mod_2_64_to_an_exact_int64(kind):
                        ).reshape(-1, 3)
     coef_half = _coef_half(coef[:, None], k_hw, kind, bits)
     serial_half = _serial_half(serial, k_hw, kind, b)
-    full = coef_half.full[:, 0].astype(np.int64).tolist()
-    for counts in serial_half.counts.T.tolist():
+    full = coef_half.rows[:, 0].astype(np.int64).tolist()
+    for counts in serial_half.rows.T.tolist():
         assert sum(abs(f * c) for f, c in zip(full, counts)) > 1 << 64
-    y2, _ = _product(coef_half, serial_half,
-                     (-coef_half.sums.sum(axis=0)[:, None],))
+    start = -coef_half.sums.sum(axis=0)
     want = [2 * sum(c * v for c, v in zip(coef.tolist(), s))
             for s in serial.T.tolist()]
     assert max(map(abs, want)) < 1 << 63
+    # either half as the weights': (1, 3) with the coefficients' row, or
+    # (3, 1) with their column
+    y2, _ = _product(coef_half, serial_half, (start[:, None],))
     assert y2.tolist() == [want]
+    y2, _ = _product(serial_half, coef_half, (start,))
+    assert y2.tolist() == [[w] for w in want]
 
 
 @pytest.mark.parametrize("b", [2, 8, 9, 16, 17, 32])
@@ -593,8 +633,8 @@ def test_serial_counts_are_signed_one_hot_reads(kind, b):
     over the slices s of +-2^s (the sign slice negative) at that field
     value in the slice's `piso_schedule` address; the masks run over every
     field's lower-half values, then their complements in the same order.
-    The folded count of row (field, v) is the signed reads at v minus
-    those at ~v."""
+    The folded count of (field, v) is the signed reads at v minus those
+    at ~v, in row v * tiles + t, the row order of `_coef_half`."""
     tiles, kq, n = 3, 8, 7
     fields = field_layout(kind, *padded_layout(kq))
     serial = _rand((tiles, kq, n), b, seed=200 + b)
@@ -604,9 +644,9 @@ def test_serial_counts_are_signed_one_hot_reads(kind, b):
     halves = sum(1 << w - 1 for _, w, _ in fields)
     got = _serial_half(serial.reshape(tiles * kq, n), kq, kind, b)
     masks = got.masks.view(f"<i{got.masks.itemsize}")
-    assert masks.shape == (tiles, 2 * halves, n)
-    assert got.counts.shape == (tiles * halves, n)
-    assert got.counts.dtype == np.float64
+    assert masks.shape == (2 * halves, tiles, n)
+    assert got.rows.shape == (halves * tiles, n)
+    assert got.rows.dtype == np.float64
     for t, r in np.ndindex(tiles, n):
         reads = [[0] * (1 << w) for _, w, _ in fields]
         for s, address in enumerate(piso_schedule(serial[t, :, r], b)):
@@ -615,10 +655,9 @@ def test_serial_counts_are_signed_one_hot_reads(kind, b):
                 read[f] += -(1 << s) if s == b - 1 else 1 << s
         lower = [v for read in reads for v in read[:len(read) // 2]]
         upper = [v for read in reads for v in read[::-1][:len(read) // 2]]
-        assert masks[t, :, r].tolist() == lower + upper, (t, r)
+        assert masks[:, t, r].tolist() == lower + upper, (t, r)
         want = [v - c for v, c in zip(lower, upper)]
-        assert got.counts[t * halves:(t + 1) * halves, r].tolist() == want, \
-            (t, r)
+        assert got.rows[t::tiles, r].tolist() == want, (t, r)
 
 
 @pytest.mark.parametrize("kq", [4, 8, 16])

@@ -13,9 +13,10 @@ from comet.cnn_model import requantize
 from comet.fxp import FxpFormat
 from comet.gemm_core import GemmConfig, check_operands, gemm_cycles
 from comet.im2col_addr import LayerConfigWord, gather_stream
-from comet.lut_arch import LutArch, lut_cost
+from comet.lut_arch import LutArch, PreparedLut, lut_cost
 from comet.metrics import aep, eps, throughput_mac
-from comet.obc_ipc import piso_schedule
+from comet.obc_ipc import IpcProblem, build_naive_lut, ipc_obc, ipc_oracle, \
+    piso_schedule
 from comet.tensor_io import SplitMix64, gen_input
 
 NAN, INF = float("nan"), float("inf")
@@ -52,6 +53,15 @@ def _lut_arch(i):
 
 def _operands(i):
     return _positional(check_operands, (THETA, COLS, BIAS, 8, 8), i)
+
+
+def _from_vectors(i):
+    return _positional(lambda *a: IpcProblem.from_vectors(
+        *a, FxpFormat(8), FxpFormat(8)), ([1, 2], [3, 4], 0, "A"), i)
+
+
+PROBLEM = IpcProblem.from_vectors([1, -2, 3], [4, 5, -6], 7, "A",
+                                  FxpFormat(8), FxpFormat(8))
 
 
 # name: (call of one value, an accepted value, bad values); no dim or
@@ -100,6 +110,23 @@ TABLE = {
                                (0.5, 2.5, "3", None, [1], 128, -129)),
     "piso_schedule.b": (lambda v: piso_schedule([1, -1], v), 8,
                         NOT_INT + (1, 33)),
+    "piso_schedule.vector": (lambda v: piso_schedule(v, 8), [1, -1],
+                             (None, 5, 0.5, ["1"])),
+    **{f"ipc_oracle.{name}": (_positional(ipc_oracle, ([1, 2], [3, 4]), i),
+                              [5, 6], (None, 5, [0.5, 1], ["1", 2], [1]))
+       for i, name in enumerate(("weights", "inputs"))},
+    **{f"IpcProblem.from_vectors.{name}": (_from_vectors(i), [5, 6],
+                                           (None, 5, [0.5, 1], [1]))
+       for i, name in enumerate(("weights", "inputs"))},
+    "build_naive_lut.coeffs": (build_naive_lut, [1, -2],
+                               (None, 5, [0.5], ["1"], [None],
+                                list(range(25)))),
+    "PreparedLut.kind": (lambda v: PreparedLut(v, [1, 2]), "hybrid",
+                         ("naive", None, ["hybrid"])),
+    "PreparedLut.value": (lambda v: PreparedLut("hybrid", [1, 2]).value(v),
+                          np.int64(3), NOT_INT + (-1, 4)),
+    "ipc_obc.lut_impl": (lambda v: ipc_obc(PROBLEM, v, record=False),
+                         "split", ("bogus", None, ["hybrid"])),
     "check_operands.theta": (_operands(0), THETA,
                              (THETA + 0.5, THETA * 200, THETA[0])),
     "check_operands.x": (_operands(1), COLS, (COLS + 0.5, COLS * 200)),
