@@ -15,7 +15,9 @@ field value, and folds them onto the lower half, count(v) - count(~v).
 One exact product (float64 while its sums stay within 2^53, int64 past
 that), the weights' half transposed times the inputs' half, sums the
 reads into (N, M) accumulators in both schemes, started at the merged
-offset.
+offset -sum(coef) + 2 * bias: cached with the weights in Scheme A; in
+Scheme B the start is the doubled bias, and -sum(x) is read from the
+activations' tables, one more read of each field's entry at value 0.
 The weights' half and start are prepared once per weight set.  With
 `record` set, the kernel also returns the per-slice trace that
 :func:`comet.obc_ipc.ipc_obc` gives for one tile, for every tile at once.
@@ -99,32 +101,28 @@ def _checked_inputs(x, patch_len: int, b1: int, b2: int):
     return x
 
 
-@lru_cache(maxsize=64)
-def _im2col_map(cfg: LayerConfigWord) -> np.ndarray:
-    """Read-only (Np, M) flat indices into x, c*h*w (one past x) for a pad
-    tap: built from the configuration word alone, once per layer."""
-    ch, i, j, oh, ow = np.ix_(*map(np.arange, (cfg.c, cfg.kh, cfg.kw,
-                                               cfg.h_out, cfg.w_out)))
-    r, q = oh * cfg.s + i, ow * cfg.s + j
-    index = np.where((r < cfg.h) & (q < cfg.w), (ch * cfg.h + r) * cfg.w + q,
-                     cfg.c * cfg.h * cfg.w).reshape(cfg.patch_len, -1)
-    index.flags.writeable = False
-    return index
-
-
-_ZERO = np.zeros(1, np.int64)     # what im2col's pad taps read
-
-
 def im2col(x: np.ndarray, cfg: LayerConfigWord) -> np.ndarray:
     """Flatten convolution patches of `x` (C, H, W) into an (Np, M) matrix.
 
     Column (oh, ow) holds the channel-major patch at that output position;
     one-sided zero padding extends the bottom/right edge when cfg.p == 1.
-    One gather through the layer's cached address map, the pad taps reading
-    a zero appended to x; the result is C-contiguous, patch-major.
+    One copy of a (C, kh, kw, H_out, W_out) window view, strided by the
+    `LayerConfigWord` fields alone, over x itself (p = 0) or over a copy
+    of x with a zero row and column appended (p = 1); the result is a
+    fresh C-contiguous, patch-major int64 array.
     """
     x = cfg.check_input(x)
-    return np.concatenate((x.reshape(-1), _ZERO))[_im2col_map(cfg)]
+    if cfg.p:
+        base = np.zeros((cfg.c, cfg.h + 1, cfg.w + 1), np.int64)
+        base[:, :cfg.h, :cfg.w] = x
+    else:                       # a buffer of any layout, as C-contiguous
+        base = np.ascontiguousarray(x)
+    sc, sh, sw = base.strides
+    windows = np.ndarray((cfg.c, cfg.kh, cfg.kw, cfg.h_out, cfg.w_out),
+                         np.int64, base, 0,
+                         (sc, sh, sw, sh * cfg.s, sw * cfg.s))
+    # copy=True: at 1x1 stride 1 the reshape alone would be a view of x
+    return windows.reshape(cfg.patch_len, -1, copy=True)
 
 
 def gemm_oracle(theta: np.ndarray, xcols: np.ndarray,
@@ -175,10 +173,14 @@ def gemm_obc(theta: np.ndarray, xcols: np.ndarray, bias: np.ndarray,
     Operands pass both halves of `check_operands` (formats, shapes and
     int64 headroom); one table kernel serves both schemes, Scheme B
     swapping which half each operand feeds.  The weight side (the checked
-    weights, their half of the kernel and their term of the start value)
-    comes from `_weight_side`, keyed by content, so a weight set is
-    prepared once however many images go through it.  Y is a fresh
-    C-contiguous int64 (N, M) array in both schemes.
+    weights, their half of the kernel and the accumulators' start) comes
+    from `_weight_side`, keyed by content, so a weight set is prepared
+    once however many images go through it.  The start is the merged
+    offset in Scheme A and the doubled bias in Scheme B, whose weight
+    half reads the activations' -sum(x) from their tables at value 0;
+    with that read the product is float64 while tiles * kq *
+    2^(B_coef - 1) * 2^B_serial stays within 2^53, and int64 past it.
+    Y is a fresh C-contiguous int64 (N, M) array in both schemes.
     """
     theta, bias, half, start = _weight_side(
         _content(theta, "weights"), _content(bias, "biases"), cfg.scheme,
@@ -189,14 +191,9 @@ def gemm_obc(theta: np.ndarray, xcols: np.ndarray, bias: np.ndarray,
     if record and cfg.k_hw > 63:
         raise ValueError(f"trace addresses are int64: recording needs "
                          f"k_hw <= 63, got {cfg.k_hw}")
-    k_hw = cfg.k_hw if record else None
-    if cfg.scheme is Scheme.A:
-        serial = _serial_half(xcols, cfg.k_hw, cfg.arch, cfg.b1)
-        y2, trace = _product(half, serial, (start,), k_hw)
-    else:
-        coef = _coef_half(xcols, cfg.k_hw, cfg.arch, cfg.b1)
-        y2, trace = _product(half, coef, (start, -np.add.reduce(xcols)),
-                             k_hw)
+    inputs = (_serial_half if cfg.scheme is Scheme.A else _coef_half)(
+        xcols, cfg.k_hw, cfg.arch, cfg.b1)
+    y2, trace = _product(half, inputs, start, cfg.k_hw if record else None)
     assert not np.bitwise_or.reduce(y2, axis=None) & 1, \
         "doubled-domain result must be even"
     if record:                  # a zero-length patch has no last tile
@@ -220,8 +217,16 @@ def _weight_side(theta, bias, scheme, arch, k_hw, b2):
     """(theta, bias, half, start) for the `_content` keys of the weights and
     biases: both through `_checked_weights`, the weights' half of
     `_product` (the coefficient half in Scheme A, the serial half in
-    Scheme B), and their term of its start value, an (N, 1) column:
-    Scheme A's merged offset per row, or Scheme B's doubled bias.
+    Scheme B), and the start value of its accumulators, an (N, 1) column.
+
+    Scheme A starts each row at its merged offset -sum(theta) + 2 * bias.
+    In Scheme B the activations are the coefficients, and each field's
+    half-table entry at value 0 is minus the sum of that field's
+    coefficients, so a tile's offset -sum(x) is one read of entry 0 per
+    field: the weights' folded counts take 1 more at each field's entry-0
+    row v0 in every tile (row v0 * tiles + t), and the start is the
+    doubled bias.  A field's folded counts then sum to at most 2^b2 in
+    magnitude, not 2^b2 - 1, which `_product`'s float64 bound counts.
     Every array is read-only: callers share them."""
     theta, bias = _checked_weights(*(np.frombuffer(data, dtype).reshape(shape)
                                      for dtype, shape, data in (theta, bias)),
@@ -231,6 +236,10 @@ def _weight_side(theta, bias, scheme, arch, k_hw, b2):
         start = merged_offset(theta.T, bias)[:, None]
     else:
         half, start = _serial_half(theta.T, k_hw, arch, b2), 2 * bias[:, None]
+        _, signs, _, v0 = _kernel(arch, k_hw)
+        tiles = -(-theta.shape[1] // k_hw)
+        # rows is C-contiguous, so the reshape is a view that += writes
+        half.rows.reshape(len(signs), tiles, len(theta))[v0] += 1
     for a in (theta, bias, *half[:-1], start):
         a.flags.writeable = False
     return theta, bias, half, start
@@ -238,24 +247,26 @@ def _weight_side(theta, bias, scheme, arch, k_hw, b2):
 
 @lru_cache(maxsize=64)
 def _kernel(arch, k_hw):
-    """(kq, signs, lit) of a (technique, k_hw) layout, read-only: the
+    """(kq, signs, lit, v0) of a (technique, k_hw) layout, read-only: the
     padded width, the (halves, kq) half sign matrix (per field, the lower
-    half of `Layout.tables`' full table over the rows of eye(kq)) and the
+    half of `Layout.tables`' full table over the rows of eye(kq)), the
     mask literals (per field operand, MSB first, an operand of [~u, u]) of
-    the lower-half values field by field, then of their complements."""
+    the lower-half values field by field, then of their complements, and
+    the row of each field's value 0 in the sign matrix."""
     lay = layout(arch, k_hw)
     kq = lay.padded
     signs = np.concatenate([f[:len(f) // 2]
                             for f in lay.tables(list(np.eye(kq)))])
     half = [(v, s, w) for s, w, _ in lay.fields for v in range(1 << w - 1)]
+    v0 = np.array([i for i, (v, _, _) in enumerate(half) if v == 0])
     f, start, w = (np.array(a) for a in zip(
         *half, *((v ^ (1 << w) - 1, s, w) for v, s, w in half)))
     # a narrower field repeats its last operand: AND ignores the repeat
     j = np.minimum(np.arange(w.max()), w[:, None] - 1)
     lit = start[:, None] + j + kq * (f[:, None] >> (w[:, None] - 1 - j) & 1)
-    for a in (signs, lit):
+    for a in (signs, lit, v0):
         a.flags.writeable = False
-    return kq, signs, lit.T
+    return kq, signs, lit.T, v0
 
 
 class _CoefHalf(NamedTuple):
@@ -286,7 +297,7 @@ def _coef_half(cols, k_hw, arch, bits) -> _CoefHalf:
     fill every tile's half tables (per field, the entries at values of
     MSB 0) by one product with the layout's half sign matrix: row
     v * tiles + t holds half-table entry v of tile t."""
-    kq, signs, _ = _kernel(arch, k_hw)
+    kq, signs, *_ = _kernel(arch, k_hw)
     tiles, n_coef = -(-len(cols) // k_hw), cols.shape[1]
     coef = cols.reshape(tiles, kq, n_coef).transpose(1, 0, 2) \
         .astype(np.float64, order="C") if tiles * kq == len(cols) else \
@@ -308,7 +319,7 @@ def _serial_half(cols, k_hw, arch, b) -> _SerialHalf:
     at v, so the counts fold onto the lower half: count(v) - count(~v) in
     a container twice as wide, then float64 (exact below 2^33), in the
     row order of `_coef_half`."""
-    kq, _, lit = _kernel(arch, k_hw)
+    kq, _, lit, _ = _kernel(arch, k_hw)
     size = (1, 2, 4, 4)[(b - 1) // 8]
     tiles, n_serial = -(-len(cols) // k_hw), cols.shape[1]
     lits = np.zeros((2 * kq, tiles, n_serial), f"<u{size}")   # [~u, u]
@@ -322,23 +333,25 @@ def _serial_half(cols, k_hw, arch, b) -> _SerialHalf:
 
 
 def _product(weights, inputs, start, k_hw=None):
-    """Doubled accumulators (N, M), C-contiguous, started at the sum of
-    the `start` arrays: the weights' half (N operands) transposed times
-    the inputs' half (M operands), one a `_CoefHalf`, the other a
-    `_SerialHalf` with the same row order.
+    """Doubled accumulators (N, M), C-contiguous, started at `start`:
+    the weights' half (N operands) transposed times the inputs' half (M
+    operands), one a `_CoefHalf`, the other a `_SerialHalf` with the same
+    row order.
 
     One product of the half tables T with the folded read counts sums the
     reads (sum_v T[v] c[v] over the lower half of T[v] (c[v] - c[~v])),
-    then the start goes in place: with -sum(coef) as the start, they are
-    the doubled products 2 * sum(coef * serial).
+    then the start goes in place: with -sum(coef) in the start, or read
+    from the tables at value 0 (Scheme B's weight half, `_weight_side`),
+    they are the doubled products 2 * sum(coef * serial).
 
     The float64 product is exact while the magnitudes bounding every
     partial sum stay within 2^53: a table entry sums at most 4
     coefficients (below 2^(coef.bits+1)), a slice reads one value per
     field, so a field's folded counts sum to at most 2^b - 1 in magnitude,
-    and a tile adds at most kq * 2^(coef.bits-1) * (2^b - 1).  Past that
-    bound the product is taken in int64 instead: it may wrap, but is exact
-    mod 2^64, and `check_operands` keeps the doubled result within int64.
+    and 2^b with the offset read at value 0; a tile adds at most
+    kq * 2^(coef.bits-1) * 2^b.  Past that bound the product is taken in
+    int64 instead: it may wrap, but is exact mod 2^64, and
+    `check_operands` keeps the doubled result within int64.
 
     Returns (products, trace).  The trace is None unless `k_hw` (the
     unpadded tile width, at most 63) is given; then it holds int64 arrays
@@ -351,12 +364,11 @@ def _product(weights, inputs, start, k_hw=None):
         else (inputs, weights)
     _, tiles, n_coef = coef.tiled.shape
     b, kq, h = serial.bits, serial.u.shape[0], serial.masks.shape[0] // 2
-    if (tiles * kq << coef.bits - 1) * ((1 << b) - 1) <= 1 << 53:
+    if tiles * kq << coef.bits - 1 + b <= 1 << 53:
         y2 = (weights.rows.T @ inputs.rows).astype(np.int64)
     else:
         y2 = weights.rows.astype(np.int64).T @ inputs.rows.astype(np.int64)
-    for s in start:
-        y2 += s
+    y2 += start
     if k_hw is None:
         return y2, None
     # (Q, tiles, b, kq + 2 * h): the pattern bits, then the mask bits

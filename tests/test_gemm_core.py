@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from comet import gemm_core
 from comet.gemm_core import (
     GemmConfig,
-    _im2col_map,
     _coef_half,
     _content,
     _kernel,
@@ -128,24 +127,19 @@ def test_im2col_equals_element_loop(c, kh, kw, s, p, h, w, seed):
 
 @pytest.mark.parametrize("layout", LAYOUTS)
 def test_im2col_of_any_memory_layout(layout):
-    """Equals the element loop and leaves its input as it was."""
-    cfg = LayerConfigWord(c=2, kh=3, kw=2, s=2, p=1, n=1, b=8, h=5, w=4)
-    x = _laid_out(_rand((2, 5, 4), 8, seed=94), layout)
-    before = x.copy()
-    got = im2col(x, cfg)
-    assert got.flags.c_contiguous and (got == _im2col_loop(x, cfg)).all()
-    assert (x == before).all()
-
-
-def test_im2col_map_is_read_only():
-    cfg = LayerConfigWord(c=2, kh=3, kw=2, s=2, p=1, n=1, b=8, h=5, w=4)
-    assert _im2col_map(cfg) is _im2col_map(cfg)
-    assert not _im2col_map(cfg).flags.writeable
-    x = _rand((2, 5, 4), 8)
-    first = im2col(x, cfg)
-    want = first.copy()
-    first[...] = 99
-    assert (im2col(x, cfg) == want).all()
+    """Equals the element loop, padded or not (a window view over x itself
+    at p = 0, at 1x1 stride 1 a plain reshape of it), and is a fresh
+    writable array: writing into it leaves x as it was."""
+    for cfg in (LayerConfigWord(c=2, kh=3, kw=2, s=2, p=1, n=1, b=8, h=5, w=4),
+                LayerConfigWord(c=2, kh=3, kw=2, s=1, p=0, n=1, b=8, h=5, w=4),
+                LayerConfigWord(c=2, kh=1, kw=1, s=1, p=0, n=1, b=8, h=5, w=4)):
+        x = _laid_out(_rand((2, 5, 4), 8, seed=94), layout)
+        before = x.copy()
+        got = im2col(x, cfg)
+        assert got.flags.c_contiguous and (got == _im2col_loop(x, cfg)).all()
+        assert got.flags.writeable and not np.shares_memory(got, x)
+        got[...] = 99
+        assert (x == before).all(), cfg
 
 
 def test_non_integer_operands_are_rejected():
@@ -239,7 +233,7 @@ def test_coef_rows_are_every_tiles_half_tables(kind, k_hw):
     """Row v * tiles + t of the coefficient half is half-table entry v of
     tile t: the half sign matrix times that tile's zero-padded operands."""
     cols = _rand((2 * k_hw + 1, 4), 8, seed=41 + k_hw)
-    kq, signs, _ = _kernel(kind, k_hw)
+    kq, signs, *_ = _kernel(kind, k_hw)
     got = _coef_half(cols, k_hw, kind, 8)
     tiles = 3
     padded = np.zeros((tiles, kq, 4), np.int64)
@@ -272,6 +266,53 @@ def test_scheme_a_start_is_the_merged_offset():
     assert start.shape == (5, 1) and not start.flags.writeable
     assert start[:, 0].tolist() == [
         merged_offset(theta[n].tolist(), int(bias[n])) for n in range(5)]
+
+
+@pytest.mark.parametrize("k_hw", [1, 3, 4, 5, 16, 17])
+@pytest.mark.parametrize("kind", ARCHS)
+def test_entry_0_rows_hold_minus_the_column_sums(kind, k_hw):
+    """Each field's half-table entry at value 0 is minus the sum of that
+    field's coefficients: the sign matrix's rows v0 (one per field) are -1
+    on the field's columns, and the coefficient half's rows v0 * tiles + t,
+    summed over fields and tiles, are -sum(x) per column."""
+    x = _rand((2 * k_hw + 3, 6), 8, seed=300 + k_hw)
+    x[:, 0], x[:, 1] = 127, -128
+    kq, signs, _, v0 = _kernel(kind, k_hw)
+    assert len(v0) == len(field_layout(kind, *padded_layout(k_hw)))
+    assert (signs[v0].sum(axis=0) == -1).all()
+    tiles = -(-len(x) // k_hw)
+    rows = _coef_half(x, k_hw, kind, 8).rows
+    at = [v * tiles + t for v in v0.tolist() for t in range(tiles)]
+    assert rows[at].sum(axis=0).tolist() == (-x.sum(axis=0)).tolist()
+
+
+@pytest.mark.parametrize("k_hw", [1, 3, 4, 5, 16, 17])
+@pytest.mark.parametrize("kind", ARCHS)
+def test_scheme_b_weight_half_reads_the_offset(kind, k_hw):
+    """Scheme B's cached weight half is `_serial_half` of the weights plus
+    1 at exactly the entry-0 rows v0 * tiles + t, and its start is the
+    doubled bias.  A field's folded counts, offset read included, sum to
+    at most 2^b in magnitude, reached by the most negative operands."""
+    b = 8
+    theta, bias = _rand((5, 2 * k_hw + 3), b, seed=320 + k_hw), \
+        _rand((5,), b, seed=340 + k_hw)
+    theta[0] = -(1 << b - 1)
+    _, _, half, start = _weight_side(_content(theta, "weights"),
+                                     _content(bias, "biases"), Scheme.B,
+                                     kind, k_hw, b)
+    plain = _serial_half(theta.T, k_hw, kind, b)
+    kq, _, _, v0 = _kernel(kind, k_hw)
+    tiles = -(-theta.shape[1] // k_hw)
+    want = plain.rows.copy()
+    want[[v * tiles + t for v in v0.tolist() for t in range(tiles)]] += 1
+    assert (half.rows == want).all() and not half.rows.flags.writeable
+    assert all((a == w).all() for a, w in zip(half[1:3], plain[1:3]))
+    assert start.shape == (5, 1) and (start[:, 0] == 2 * bias).all()
+    ends = [*v0.tolist(), len(want) // tiles]
+    magnitude = np.array([abs(want.reshape(-1, tiles, 5)[lo:hi]).sum(axis=0)
+                          for lo, hi in zip(ends, ends[1:])])
+    assert magnitude.max() == 1 << b
+    assert (magnitude[..., 1:] <= 1 << b).all()
 
 
 @pytest.mark.parametrize("scheme", [Scheme.A, Scheme.B])
@@ -511,7 +552,7 @@ def test_kernel_signs_are_prepared_full_tables_of_unit_coefficients(arch,
     each full table's upper half is its lower half negated and reversed
     (the entry at ~v is minus the entry at v), so the halves determine
     every full-table entry."""
-    kq, signs, lit = _kernel(arch, k_hw)
+    kq, signs, lit, _ = _kernel(arch, k_hw)
     q = PreparedLut(arch, [1] * k_hw).q
     assert signs.shape == (lit.shape[1] // 2, kq)
     for i, unit in enumerate(np.eye(kq, dtype=np.int64).tolist()):
@@ -551,15 +592,16 @@ def test_gemm_at_every_serial_width(scheme, arch):
 @pytest.mark.parametrize("arch", ARCHS)
 def test_gemm_either_side_of_the_float64_bound(scheme, arch):
     """A float64 product of the read counts is exact while its sum of
-    magnitudes, at most tiles * kq * 2^(coefficient bits - 1) * (2^b - 1)
-    for b-bit serial operands, stays within 2^53: 256 full tiles take the
-    float64 product, 257 the int64 one.  Every operand is at an extreme of
-    its format, each serial one with a coefficient of its sign, three
-    positive to one negative, so the magnitudes reach that bound and the
-    sum is odd."""
+    magnitudes, at most tiles * kq * 2^(coefficient bits - 1) * 2^b for
+    b-bit serial operands (the offset read at value 0 included), stays
+    within 2^53: 256 full tiles, at 2^53 exactly, take the float64
+    product, 257 the int64 one.  Every operand is at an extreme of its
+    format, each serial one with a coefficient of its sign, three positive
+    to one negative, so the magnitudes come near that bound and the sum is
+    odd."""
     b, bc, k_hw = 20, 24, 4
     def bound(tiles):
-        return (tiles * k_hw << bc - 1) * ((1 << b) - 1)
+        return tiles * k_hw << bc - 1 + b
     assert bound(256) <= 1 << 53 < bound(257)
     for tiles in (256, 257):
         high = np.tile([True, True, True, False], tiles)
@@ -593,7 +635,7 @@ def test_product_in_int64_at_46_bit_coefficients(kind):
     # as a row
     for *halves, s in ((coef_half, serial_half, start[:, None]),
                        (serial_half, coef_half, start)):
-        y2, _ = _product(*halves, (s,))
+        y2, _ = _product(*halves, s)
         assert y2.tolist() == [[2 * sum(map(int, coef * serial))]]
 
 
@@ -619,9 +661,9 @@ def test_product_wraps_mod_2_64_to_an_exact_int64(kind):
     assert max(map(abs, want)) < 1 << 63
     # either half as the weights': (1, 3) with the coefficients' row, or
     # (3, 1) with their column
-    y2, _ = _product(coef_half, serial_half, (start[:, None],))
+    y2, _ = _product(coef_half, serial_half, start[:, None])
     assert y2.tolist() == [want]
-    y2, _ = _product(serial_half, coef_half, (start,))
+    y2, _ = _product(serial_half, coef_half, start)
     assert y2.tolist() == [[w] for w in want]
 
 
